@@ -2,9 +2,19 @@
 
 A set is bilinear when it is cut out inside W1 x W2 by bilinear forms
 (linear conditions are the rank-one special case once W1 and W2 absorb the
-purely linear constraints).  The decision procedure is a Galois round trip:
-take the annihilator of the set over the spans of its projections, take the
-joint zero set of that annihilator, and compare with the original set.
+purely linear constraints).  The criterion is a Galois round trip: A is
+bilinear iff its projections are subspaces and A equals orth(ann(A)), the
+joint zero set of its annihilator over the spans W1, W2 of the projections.
+
+A form vanishes on A exactly when it vanishes on the span of outer products
+S(A) = span{x (x) y : (x, y) in A}, so that zero set is
+(W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
+dim W2 - dim S(A).  closure and is_bilinear decide from one incremental RREF
+basis of S(A) per set, built from a cached table of flattened outer
+products; the basis is canonical, so it also keys the zero-set table.  The
+annihilator itself is certificate content only: the ``ann`` attribute of a
+result is computed by ann() when first read.  ann and orth stay public and
+are the reference route the tests check the fast one against.
 
 Annihilator form spaces are stored in the coordinates of the two reference
 subspaces: a form is a (dim w1) x (dim w2) matrix evaluated on RREF
@@ -14,12 +24,19 @@ matrix of the form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 
-from .fpcore import MatP, Subspace, VecP, is_prime, rref, rref_kernel, vspace
-from .pairsets import PairSet, mask_to_subspace, projections, subspace_mask
+from .fpcore import MatP, Subspace, VecP, decode, is_prime, rref, rref_kernel
+from .pairsets import (
+    PairSet,
+    SingleSet,
+    _iter_bits,
+    mask_to_subspace,
+    projections,
+    subspace_mask,
+)
 
 __all__ = [
     "BilinearForm",
@@ -206,29 +223,155 @@ def orth(m: FormSpace, w1: Subspace, w2: Subspace) -> PairSet:
     return PairSet(p, w1.ambient, w2.ambient, mask)
 
 
+# ------------------------------------------------- the span of outer products
+
+
+@lru_cache(maxsize=None)
+def _outer_table(p: int, n1: int, n2: int) -> tuple:
+    """Flattened outer product x (x) y (entry i*n2 + j is x_i y_j) of every
+    pair, indexed by the pair index x_index + p**n1 * y_index."""
+    xs = [decode(i, p, n1) for i in range(p**n1)]
+    ys = [decode(i, p, n2) for i in range(p**n2)]
+    return tuple(tuple(a * b % p for a in x for b in y) for y in ys for x in xs)
+
+
+@lru_cache(maxsize=None)
+def _kernel_masks(p: int, n: int) -> tuple:
+    """Bit mask of {x in F_p^n : u . x = 0} for every functional u, indexed
+    by the encoded index of u."""
+    vs = [decode(i, p, n) for i in range(p**n)]
+    return tuple(
+        sum(1 << i for i, x in enumerate(vs) if sum(a * b for a, b in zip(u, x)) % p == 0)
+        for u in vs
+    )
+
+
+def _span_basis(a: PairSet, bound: int) -> tuple:
+    """Canonical RREF basis of S(A) = span{x (x) y : (x, y) in A}.
+
+    Each distinct outer product is reduced against the basis built so far
+    and, when something is left, normalized and eliminated from the other
+    rows.  S(A) lies in W1 (x) W2, so the loop stops once the basis reaches
+    ``bound`` = dim W1 * dim W2.
+    """
+    p = a.p
+    table = _outer_table(p, a.n1, a.n2)
+    basis: list = []
+    pivots: list = []
+    for row in {table[i] for i in _iter_bits(a.indicator)}:
+        for b, j in zip(basis, pivots):
+            lam = row[j]
+            if lam:
+                row = [(c - lam * bc) % p for c, bc in zip(row, b)]
+        j = next((k for k, c in enumerate(row) if c), None)
+        if j is None:
+            continue
+        if row[j] != 1:
+            inv = pow(row[j], p - 2, p)
+            row = [c * inv % p for c in row]
+        for i, b in enumerate(basis):
+            lam = b[j]
+            if lam:
+                basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
+        basis.append(row)
+        pivots.append(j)
+        if len(basis) == bound:
+            break
+    return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
+
+
+@lru_cache(maxsize=4096)
+def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
+    """Indicator of {(x, y) in W1 x W2 : x (x) y in S}, for S given by its
+    RREF basis.
+
+    S is cut out by one check form per free column f of the basis (1 at f,
+    minus the column entry at each pivot).  For fixed y a check form is a
+    functional on x, so the x-mask of a row of pairs is W1 intersected with
+    the kernels of those functionals, shifted into place.
+    """
+    p, n1, n2 = w1.p, w1.ambient, w2.ambient
+    pivots = [next(k for k, c in enumerate(b) if c) for b in span]
+    checks = []
+    for f in range(n1 * n2):
+        if f in pivots:
+            continue
+        h = [0] * (n1 * n2)
+        h[f] = 1
+        for b, j in zip(span, pivots):
+            h[j] = -b[f] % p
+        checks.append([h[i * n2 : (i + 1) * n2] for i in range(n1)])
+    kernel = _kernel_masks(p, n1)
+    x_mask = subspace_mask(w1)
+    m1 = p**n1
+    out = 0
+    for y in _iter_bits(subspace_mask(w2)):
+        yc = decode(y, p, n2)
+        row = x_mask
+        for h in checks:
+            u = 0
+            for hi in reversed(h):
+                u = u * p + sum(c * b for c, b in zip(hi, yc)) % p
+            row &= kernel[u]
+            if not row:
+                break
+        out |= row << (m1 * y)
+    return out
+
+
+# ann over W1 x W2 depends on A only through (W1, W2, S(A)): a form vanishes
+# on A exactly when it vanishes on S(A).  So the lazily read annihilator is
+# memoised on that key; cleared when full, like a bounded cache.
+_ANN_BY_SPAN: dict = {}
+
+
+def _span_ann(a: PairSet, w1: Subspace, w2: Subspace, span: tuple) -> FormSpace:
+    key = (w1, w2, span)
+    m = _ANN_BY_SPAN.get(key)
+    if m is None:
+        if len(_ANN_BY_SPAN) >= 4096:
+            _ANN_BY_SPAN.clear()
+        m = _ANN_BY_SPAN[key] = ann(a, w1, w2)
+    return m
+
+
 @dataclass(frozen=True)
 class ClosureResult:
-    """Spans of the projections, the annihilator over them, and the closure."""
+    """Spans of the projections, S(A) and the closure.
+
+    span is the canonical RREF basis of S(A) = span{x (x) y : (x, y) in A},
+    flattened row-major.  ann, the annihilator over w1 x w2 in their RREF
+    coordinates, is computed on first read.
+    """
 
     w1: Subspace
     w2: Subspace
-    ann: FormSpace
+    span: tuple
     closed: PairSet
+    source: PairSet = field(repr=False, compare=False)
+
+    @cached_property
+    def ann(self) -> FormSpace:
+        return _span_ann(self.source, self.w1, self.w2, self.span)
+
+
+def _closure(a: PairSet, pi1: SingleSet, pi2: SingleSet) -> ClosureResult:
+    w1 = mask_to_subspace(a.p, a.n1, pi1.indicator)
+    w2 = mask_to_subspace(a.p, a.n2, pi2.indicator)
+    span = _span_basis(a, w1.dim * w2.dim)
+    closed = PairSet(a.p, a.n1, a.n2, _span_closure(w1, w2, span))
+    return ClosureResult(w1, w2, span, closed, a)
 
 
 def closure(a: PairSet) -> ClosureResult:
-    """Bilinear closure: orth(ann(A)) over the spans of the projections.
+    """Bilinear closure: (W1 x W2) intersected with {(x, y) : x (x) y in S(A)},
+    over the spans W1, W2 of the projections.  This equals orth(ann(A)).
 
     Extensive (A is always contained in the result, and the result always
     contains (0,0)) and idempotent; A is bilinear iff it equals its closure
     and its projections are subspaces.
     """
-    pi1, pi2 = projections(a)
-    w1 = mask_to_subspace(a.p, a.n1, pi1.indicator)
-    w2 = mask_to_subspace(a.p, a.n2, pi2.indicator)
-    m = ann(a, w1, w2)
-    closed = orth(m, w1, w2)
-    return ClosureResult(w1, w2, m, closed)
+    return _closure(a, *projections(a))
 
 
 @dataclass(frozen=True)
@@ -236,8 +379,9 @@ class BilinearVerdict:
     """Outcome of the bilinearity decision.
 
     status is "bilinear", "non_bilinear" or "empty".  w1/w2 are the spans of
-    the projections, ann the annihilator over them.  For a non-bilinear set
-    either non_subspace_axis names the projection that is not a subspace
+    the projections, span the RREF basis of S(A), ann the annihilator over
+    w1 x w2 (computed on first read).  For a non-bilinear set either
+    non_subspace_axis names the projection that is not a subspace
     ("first"/"second"), or witness is the smallest-index pair in the closure
     that is missing from the set (often both are available).
     """
@@ -245,10 +389,15 @@ class BilinearVerdict:
     status: str
     w1: Subspace
     w2: Subspace
-    ann: FormSpace
+    span: tuple
     closed: PairSet
     witness: tuple[int, int] | None
     non_subspace_axis: str | None
+    source: PairSet = field(repr=False, compare=False)
+
+    @cached_property
+    def ann(self) -> FormSpace:
+        return _span_ann(self.source, self.w1, self.w2, self.span)
 
     @property
     def r1(self) -> int:
@@ -260,7 +409,8 @@ class BilinearVerdict:
 
     @property
     def r3(self) -> int:
-        return self.ann.dim
+        """dim ann = dim W1 * dim W2 - dim S(A)."""
+        return self.w1.dim * self.w2.dim - len(self.span)
 
 
 def is_bilinear(a: PairSet) -> BilinearVerdict:
@@ -271,10 +421,11 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
     A, so the decision reduces to: both projections are subspaces and A
     equals its bilinear closure.  The empty set gets its own status.
     """
-    res = closure(a)
-    if not a.indicator:
-        return BilinearVerdict("empty", res.w1, res.w2, res.ann, res.closed, None, None)
     pi1, pi2 = projections(a)
+    res = _closure(a, pi1, pi2)
+    fields = (res.w1, res.w2, res.span, res.closed)
+    if not a.indicator:
+        return BilinearVerdict("empty", *fields, None, None, a)
     axis = None
     if pi1.indicator != subspace_mask(res.w1):
         axis = "first"
@@ -289,5 +440,5 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
         m1 = a.p**a.n1
         witness = (i % m1, i // m1)
     if axis is None and not extra:
-        return BilinearVerdict("bilinear", res.w1, res.w2, res.ann, res.closed, None, None)
-    return BilinearVerdict("non_bilinear", res.w1, res.w2, res.ann, res.closed, witness, axis)
+        return BilinearVerdict("bilinear", *fields, None, None, a)
+    return BilinearVerdict("non_bilinear", *fields, witness, axis, a)

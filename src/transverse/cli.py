@@ -6,7 +6,8 @@ whitespace, one trailing newline.  A certificate's digest is the SHA-256 of
 the canonical serialization of its format_version/kind/parameters/payload --
 never of wall time or worker count, so `--jobs 1` and `--jobs 8` emit
 byte-identical files.  The default job count comes from the TRANSVERSE_JOBS
-environment variable, falling back to the machine's CPU count.
+environment variable, falling back to the machine's CPU count; a job count
+below 1 or a malformed variable is a usage error.
 
 Exit codes: 0 verified/success, 1 verification failed (claim false or
 certificate invalid), 2 usage or file-format error.
@@ -32,7 +33,7 @@ from .explorer import (
     verify_collineation_lemma,
     xi_line_sweep,
 )
-from .fpcore import CapExceeded, Subspace, is_prime
+from .fpcore import CapExceeded, Subspace, VecP, is_prime
 from .pairsets import PairSet, phi, transversality_violation
 
 __all__ = [
@@ -366,6 +367,19 @@ def _classification_bundle(jobs: int) -> tuple[bool, dict, dict, list]:
 # ------------------------------------------------------------------ replay
 
 
+def _vanishes(mat, coords, d1: int, d2: int, p: int) -> bool:
+    """Whether a d1-by-d2 form matrix is zero on every coordinate pair; a
+    pair outside the spans (coordinates None) fails the check."""
+    if len(mat) != d1 or any(len(row) != d2 for row in mat):
+        return False
+    return all(
+        xc is not None
+        and yc is not None
+        and sum(mat[i][j] * xc[i] * yc[j] for i in range(d1) for j in range(d2)) % p == 0
+        for xc, yc in coords
+    )
+
+
 def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
     parameters, payload = cert["parameters"], cert["payload"]
     a = PairSet.from_pairs(
@@ -392,19 +406,17 @@ def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
     ok = _emit(lines, canonical_json(fresh) == canonical_json(payload), "set payload reproduces")
     expected_kind = "bilinear" if verdict.status == "bilinear" else "non_bilinear"
     ok &= _emit(lines, cert["kind"] == expected_kind, f"kind matches fresh verdict {verdict.status}")
-    # independent witness / vanishing checks straight from the serialized data
+    # independent vanishing checks straight from the serialized data: the
+    # forms act on RREF coordinates in the payload's own spans w1 and w2
+    w1 = Subspace(a.p, a.n1, tuple(tuple(r) for r in payload["w1"]))
+    w2 = Subspace(a.p, a.n2, tuple(tuple(r) for r in payload["w2"]))
+    coords = [
+        (w1.coords_of(VecP.from_index(x, a.p, a.n1)), w2.coords_of(VecP.from_index(y, a.p, a.n2)))
+        for x, y in payload["pairs"]
+    ]
     for mat in payload["ann_basis"]:
-        vanishes = all(
-            sum(mat[i][j] * xc[i] * yc[j] for i in range(len(mat)) for j in range(len(mat[0])))
-            % a.p
-            == 0
-            for xc, yc in (
-                (tuple((x // a.p**k) % a.p for k in range(a.n1)),
-                 tuple((y // a.p**k) % a.p for k in range(a.n2)))
-                for x, y in payload["pairs"]
-            )
-        ) if mat else True
-        ok &= _emit(lines, vanishes, "annihilator basis form vanishes on the set")
+        ok &= _emit(lines, _vanishes(mat, coords, w1.dim, w2.dim, a.p),
+                    "annihilator basis form vanishes on the set")
     if payload.get("witness") is not None:
         x, y = payload["witness"]
         ok &= _emit(
@@ -593,14 +605,23 @@ def _cmd_replay(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _default_jobs() -> int:
+def _resolve_jobs(jobs: int | None) -> int:
+    """--jobs, else $TRANSVERSE_JOBS, else the CPU count.  A count below 1
+    or a malformed variable is a usage error."""
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {jobs}")
+        return jobs
     env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV} must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="transverse",
         description="Exact computations with transverse and bilinear sets over F_p.",
     )
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
+    parser.add_argument("--jobs", type=int,
                         help=f"worker count for sweeps (default: ${JOBS_ENV} or CPU count)")
     parser.add_argument("--override-cap", action="store_true",
                         help="lift the enumeration size guard")
@@ -658,6 +679,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
+        args.jobs = _resolve_jobs(args.jobs)
         return args.func(args)
     except FileFormatError as exc:
         print(f"file format error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ with 1 worker is bit-for-bit the same report as with 8.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -105,23 +106,31 @@ def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _map_ranges(worker, args: tuple, total: int, jobs: int) -> list:
-    """Partial results for contiguous rank ranges, merged in rank order."""
+    """Partial results for contiguous rank ranges, in rank order.  At most
+    min(jobs, CPU count, ranges) worker processes run."""
     ranges = _ranges(total, jobs)
-    if jobs <= 1 or len(ranges) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(ranges))
+    if workers <= 1:
         return [worker(args, lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, args, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]
 
 
-def _merge(parts: list) -> tuple[dict, list]:
+def _merge(parts: list, cap: int = 8) -> tuple[dict, list]:
+    """Summed counts and the first `cap` witnesses in rank order.
+
+    Workers may cap their own lists at `cap` too: a range's first `cap`
+    witnesses hold every one of them that the global first `cap` needs, so
+    the merged list does not depend on how the ranks were split.
+    """
     counts: dict = {}
     witnesses: list = []
     for c, w in parts:
         for key, val in c.items():
             counts[key] = counts.get(key, 0) + val
         witnesses.extend(w)
-    return counts, witnesses
+    return counts, witnesses[:cap]
 
 
 def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
@@ -502,13 +511,13 @@ def search_sigma(
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
     parts = _map_ranges(_sigma_range, (p, n, tables), total, jobs)
-    counts, witnesses = _merge(parts)
+    counts, witnesses = _merge(parts, cap=16)
     ok = counts["projective_non_bilinear"] == 0
     return SweepReport(
         kind="search_sigma",
         parameters=parameters,
         counts=counts,
-        witnesses=witnesses[:16],
+        witnesses=witnesses,
         ok=ok,
         wall_time=time.perf_counter() - t0,
         workers=jobs,

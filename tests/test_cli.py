@@ -165,3 +165,30 @@ def test_jobs_flag_does_not_change_bytes(tmp_path):
     assert run(["--jobs", "1"] + base + ["--cert", one]) == 0
     assert run(["--jobs", "4"] + base + ["--cert", four]) == 0
     assert open(one).read() == open(four).read()
+
+
+def test_replay_bilinear_certificate_in_proper_spans(tmp_path):
+    # both projection spans are proper subspaces of F_2^3, so the stored
+    # forms are in W-coordinates, not ambient ones
+    src = str(tmp_path / "set.json")
+    cert = str(tmp_path / "bl.json")
+    write_document({"format_version": 1, "p": 2, "n1": 3, "n2": 3,
+                    "pairs": [[3, 1], [7, 2]]}, src)
+    assert run(["check", "bilinear", "--set", src, "--cert", cert]) == 1
+    payload = read_certificate(cert)["payload"]
+    assert len(payload["w1"]) == 2 and len(payload["w2"]) == 2
+    assert payload["r3"] == len(payload["ann_basis"]) == 2
+    assert run(["replay", "--cert", cert]) == 0
+
+
+def test_bad_job_counts_are_usage_errors(monkeypatch, capsys):
+    assert run(["--jobs", "0", "verify", "f3"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert run(["--jobs", "-3", "verify", "f3"]) == 2
+    monkeypatch.setenv("TRANSVERSE_JOBS", "four")
+    assert run(["verify", "f3"]) == 2
+    assert "TRANSVERSE_JOBS" in capsys.readouterr().err
+    monkeypatch.setenv("TRANSVERSE_JOBS", "0")
+    assert run(["verify", "f3"]) == 2
+    # an explicit --jobs takes precedence over the environment
+    assert run(["--jobs", "1", "verify", "f3"]) == 0

@@ -1,8 +1,11 @@
 """Sweeps: exhaustive subset enumeration, fiber-map classification, bijection
 searches, and the deterministic parallel engine."""
 
+from concurrent.futures import Future
+
 import pytest
 
+from transverse import explorer
 from transverse.bilinear import orth
 from transverse.detrng import SplitMix64
 from transverse.explorer import (
@@ -128,6 +131,44 @@ def test_parallel_results_match_serial():
         classify_hyperplane_fibers(3, 2, jobs=3).canonical()
         == classify_hyperplane_fibers(3, 2).canonical()
     )
+
+
+def test_witnesses_do_not_depend_on_jobs(monkeypatch):
+    # an empty oracle turns every bilinear set into a mismatch: far more
+    # than the eight witnesses a report keeps
+    monkeypatch.setattr(explorer, "_bilinear_family", lambda p, n: frozenset())
+    reports = [exhaustive_subset_sweep(2, 2, jobs=jobs) for jobs in (1, 2, 4)]
+    assert not reports[0].ok
+    assert reports[0].counts["oracle_mismatch"] == reports[0].counts["bilinear_sets"] == 107
+    assert len(reports[0].witnesses) == 8
+    assert all(r.canonical() == reports[0].canonical() for r in reports[1:])
+
+
+def test_process_count_is_bounded(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+    parts = explorer._map_ranges(lambda args, lo, hi: (lo, hi), (), 10, 64)
+    assert parts == [(k, k + 1) for k in range(10)]
+    assert started == [3]
+    explorer._map_ranges(lambda args, lo, hi: (lo, hi), (), 2, 64)
+    assert started == [3, 2]
 
 
 def test_collineation_p2_n2():

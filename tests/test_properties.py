@@ -1,4 +1,5 @@
-"""Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}.
+"""Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
+(the span_closure family adds (5,2)).
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -7,7 +8,7 @@ suite is also callable as run_suite() which reports (cases, seconds).
 
 import time
 
-from transverse.bilinear import ann, closure, orth
+from transverse.bilinear import ann, closure, is_bilinear, orth
 from transverse.constructions import build_P_sigma, random_sigma
 from transverse.detrng import SplitMix64
 from transverse.fpcore import Subspace
@@ -18,6 +19,7 @@ SHAPES = ((2, 2), (3, 2), (2, 3))
 COUNTS = {
     "galois": 2400,
     "closure": 2400,
+    "span_closure": 1200,
     "agreement": 2600,
     "phi_fixpoint": 1500,
     "dir_sum_symmetry": 1600,
@@ -57,6 +59,25 @@ def family_closure(cases, seed=102):
         again = closure(c.closed)
         assert again.closed.indicator == c.closed.indicator
         assert again.ann.basis == c.ann.basis
+    return cases
+
+
+def family_span_closure(cases, seed=106):
+    """The closure decided through S(A) equals orth(ann(A)) over the spans
+    W1 x W2, and r3 = dim W1 * dim W2 - dim S(A) is the dimension of that
+    annihilator."""
+    rng = SplitMix64(seed)
+    shapes = SHAPES + ((5, 2),)
+    for k in range(cases):
+        p, n = shapes[k % 4]
+        if rng.below(2):
+            a = random_pairset(rng, p, n, 16)
+        else:
+            a = build_P_sigma(random_sigma(p, n, seed=rng.below(1 << 30)))
+        c = closure(a)
+        m = ann(a, c.w1, c.w2)
+        assert c.closed == orth(m, c.w1, c.w2)
+        assert is_bilinear(a).r3 == m.dim
     return cases
 
 
@@ -112,6 +133,7 @@ def family_dir_sum_symmetry(cases, seed=105):
 FAMILIES = {
     "galois": family_galois,
     "closure": family_closure,
+    "span_closure": family_span_closure,
     "agreement": family_agreement,
     "phi_fixpoint": family_phi_fixpoint,
     "dir_sum_symmetry": family_dir_sum_symmetry,
@@ -131,6 +153,10 @@ def test_family_galois():
 
 def test_family_closure():
     assert family_closure(COUNTS["closure"]) == COUNTS["closure"]
+
+
+def test_family_span_closure():
+    assert family_span_closure(COUNTS["span_closure"]) == COUNTS["span_closure"]
 
 
 def test_family_agreement():
