@@ -280,17 +280,10 @@ def _span_basis(a: PairSet, bound: int) -> tuple:
     return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
 
 
-@lru_cache(maxsize=4096)
-def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
-    """Indicator of {(x, y) in W1 x W2 : x (x) y in S}, for S given by its
-    RREF basis.
-
-    S is cut out by one check form per free column f of the basis (1 at f,
-    minus the column entry at each pivot).  For fixed y a check form is a
-    functional on x, so the x-mask of a row of pairs is W1 intersected with
-    the kernels of those functionals, shifted into place.
-    """
-    p, n1, n2 = w1.p, w1.ambient, w2.ambient
+def _check_forms(p: int, n1: int, n2: int, span: tuple) -> list:
+    """A basis of the forms vanishing on S, for S given by its RREF basis:
+    one check form per free column f (1 at f, minus the column entry at each
+    pivot), flattened row-major."""
     pivots = [next(k for k, c in enumerate(b) if c) for b in span]
     checks = []
     for f in range(n1 * n2):
@@ -300,22 +293,42 @@ def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
         h[f] = 1
         for b, j in zip(span, pivots):
             h[j] = -b[f] % p
-        checks.append([h[i * n2 : (i + 1) * n2] for i in range(n1)])
+        checks.append(tuple(h))
+    return checks
+
+
+@lru_cache(maxsize=4096)
+def _form_zero_mask(p: int, n1: int, n2: int, flat: tuple) -> int:
+    """Indicator of the ambient zero set {(x, y) : x^T Q y = 0} of one form,
+    given flattened row-major.  For fixed y the form is a functional on x,
+    so each row of pairs is the kernel of that functional, shifted into
+    place."""
     kernel = _kernel_masks(p, n1)
+    rows = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
+    m1 = p**n1
+    out = 0
+    for y in range(p**n2):
+        yc = decode(y, p, n2)
+        u = 0
+        for r in reversed(rows):
+            u = u * p + sum(c * b for c, b in zip(r, yc)) % p
+        out |= kernel[u] << (m1 * y)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
+    """Indicator of {(x, y) in W1 x W2 : x (x) y in S}, for S given by its
+    RREF basis: W1 x W2 intersected with the zero sets of the check forms
+    of S."""
+    p, n1, n2 = w1.p, w1.ambient, w2.ambient
     x_mask = subspace_mask(w1)
     m1 = p**n1
     out = 0
     for y in _iter_bits(subspace_mask(w2)):
-        yc = decode(y, p, n2)
-        row = x_mask
-        for h in checks:
-            u = 0
-            for hi in reversed(h):
-                u = u * p + sum(c * b for c, b in zip(hi, yc)) % p
-            row &= kernel[u]
-            if not row:
-                break
-        out |= row << (m1 * y)
+        out |= x_mask << (m1 * y)
+    for h in _check_forms(p, n1, n2, span):
+        out &= _form_zero_mask(p, n1, n2, h)
     return out
 
 

@@ -11,6 +11,7 @@ bilinear exactly when the bijection is projective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .detrng import SplitMix64, exchange_shuffle
@@ -19,7 +20,6 @@ from .fpcore import (
     Subspace,
     VecP,
     check_cap,
-    complement,
     encode,
     is_prime,
     proj_enumerate,
@@ -183,19 +183,34 @@ def build_P_xi(
             raise ValueError("xi_prime image lies outside l")
     n1, n2 = w.ambient, l.ambient
     check_cap(p ** (n1 + n2), override_cap, "pair space")
-    m1, m2 = p**n1, p**n2
-    free = [j for j in range(n1) if j not in w.pivots]
-    full_fiber = list(range(m2))
+    m1 = p**n1
+    # fiber columns: index 0 (x in w) is the full space, since every y is
+    # orthogonal to the zero vector
+    cols = [_orthogonal_column(p, m1, n2, 0)]
+    cols += [_orthogonal_column(p, m1, n2, pt.index) for pt in xi_prime.images]
     mask = 0
-    for xi in range(m1):
-        x = VecP.from_index(xi, p, n1)
-        r = w.residual(x)
-        if r.is_zero():
-            ys = full_fiber
-        else:
-            u = VecP(p, (r.coords[free[0]], r.coords[free[1]]))
-            img = xi_prime.image_of(ProjPoint.from_vector(u))
-            ys = complement(img.vector()).element_indices()
-        for yi in ys:
-            mask |= 1 << (xi + m1 * yi)
+    for x, cid in enumerate(_quotient_classes(w)):
+        mask |= cols[cid + 1] << x
     return PairSet(p, n1, n2, mask)
+
+
+@lru_cache(maxsize=64)
+def _quotient_classes(w: Subspace) -> tuple[int, ...]:
+    """For a codimension-2 w: x -> the class id on P(F_p^2) of x mod w, read
+    in the two non-pivot columns of w, or -1 when x lies in w."""
+    p, n = w.p, w.ambient
+    f0, f1 = (j for j in range(n) if j not in w.pivots)
+    line = vspace(p, 2)
+    out = []
+    for x in range(p**n):
+        r = w.residual(VecP.from_index(x, p, n)).coords
+        out.append(line.class_of[r[f0] + p * r[f1]])
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _orthogonal_column(p: int, m1: int, n2: int, index: int) -> int:
+    """Pair-space column of the fiber {y : y . v = 0}, v the vector of F_p^n2
+    with the given index: bit m1 * y for every such y."""
+    sp = vspace(p, n2)
+    return sum(1 << (m1 * y) for y in range(sp.size) if sp.dot(y, index) == 0)

@@ -1,6 +1,8 @@
 """Exhaustive sweeps over small parameter spaces: every claim the library
 makes about transverse and bilinear sets at desk scale is re-checked here by
-brute force, candidate by candidate.
+brute force, candidate by candidate.  The collineation sweep skips whole
+blocks of ranks that a failed line has already ruled out; every map it does
+not visit fails the line condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
@@ -18,8 +20,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .bilinear import FormSpace, ann, is_bilinear, orth
+from .bilinear import FormSpace, _check_forms, _form_zero_mask, is_bilinear, orth
 from .constructions import ProjBijection, build_P_sigma, build_P_xi
 from .detrng import SplitMix64, exchange_shuffle
 from .fpcore import (
@@ -39,7 +42,14 @@ from .pairsets import (
     sumset_word,
     transversality_violation,
 )
-from .projgeom import ProjMap, _line_condition, line_structure, recognize_projective
+from .projgeom import (
+    ProjMap,
+    _first_failing_line,
+    _line_condition,
+    _line_tables,
+    line_structure,
+    recognize_projective,
+)
 
 __all__ = [
     "BogolyubovReport",
@@ -105,11 +115,16 @@ def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return out
 
 
+def _worker_count(total: int, jobs: int) -> int:
+    """Worker processes _map_ranges starts: min(jobs, CPU count, ranges)."""
+    return min(jobs, os.cpu_count() or 1, len(_ranges(total, jobs)))
+
+
 def _map_ranges(worker, args: tuple, total: int, jobs: int) -> list:
     """Partial results for contiguous rank ranges, in rank order.  At most
-    min(jobs, CPU count, ranges) worker processes run."""
+    _worker_count(total, jobs) worker processes run."""
     ranges = _ranges(total, jobs)
-    workers = min(jobs, os.cpu_count() or 1, len(ranges))
+    workers = _worker_count(total, jobs)
     if workers <= 1:
         return [worker(args, lo, hi) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -257,23 +272,16 @@ def exhaustive_subset_sweep(p: int, n: int, jobs: int = 1) -> SweepReport:
         witnesses=witnesses,
         ok=ok,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(total, jobs),
     )
 
 
 # ------------------------------------------- hyperplane-fiber classification
 
 
-def _zero_set_size(p: int, n: int, flat, outer) -> int:
-    count = 0
-    for o in outer:
-        if sum(f * c for f, c in zip(flat, o)) % p == 0:
-            count += 1
-    return count
-
-
-def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, outer):
-    """Alternative number (1, 2 or 3) for one valid hyperplane-fiber set.
+def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, span):
+    """Alternative number (1, 2 or 3) for one valid hyperplane-fiber set,
+    with span the RREF basis of S(s).
 
     Priority order is 1 -> 2 -> 3; the alternatives overlap (the full space
     satisfies both 1 and 2) and the first match wins.
@@ -293,15 +301,17 @@ def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, outer):
                     target |= 1 << (x + m1 * y)
         if target == s.indicator:
             return 1
-    # alternative 2: the zero set of a single bilinear form.  Forms in the
-    # full-ambient annihilator already vanish on P, so equality is a size
-    # check; scalar multiples share a zero set, so only normalized
-    # representatives are tried.
-    space = ann(s)
-    if space.dim:
-        for flat in _form_reps(space):
-            if _zero_set_size(p, n, flat, outer) == s.size:
-                return 2
+    # alternative 2: the zero set of a single bilinear form.  The forms
+    # vanishing on P are the span of the check forms of S(P), and their
+    # zero sets contain P, so equality is a size check; scalar multiples
+    # share a zero set, so only normalized coefficient vectors are tried.
+    checks = _check_forms(p, n, n, span)
+    for lams in product(range(p), repeat=len(checks)):
+        if next((c for c in lams if c), 0) != 1:
+            continue
+        flat = tuple(sum(lam * c for lam, c in zip(lams, col)) % p for col in zip(*checks))
+        if _form_zero_mask(p, n, n, flat).bit_count() == s.size:
+            return 2
     # alternative 3: the largest W with W x V2 inside P has codimension
     # exactly 2 (only reachable for p >= 5).  That W is {x : fiber = V2}; the
     # line condition makes it a subspace, so its size is a power of p.
@@ -312,15 +322,6 @@ def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, outer):
         if n - wdim == 2:
             return 3
     raise ClassificationError(f"set of size {s.size} fits no alternative")
-
-
-def _form_reps(space: FormSpace):
-    """One flattened representative per scalar class of nonzero forms."""
-    for mat in space.elements():
-        flat = tuple(c for row in mat for c in row)
-        lead = next((c for c in flat if c), 0)
-        if lead == 1:
-            yield flat
 
 
 def _classify_digits(args: tuple, d_lo: int, d_hi: int):
@@ -337,12 +338,6 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     options = [full] + [subspace_mask(h) for h in hyps]
     lines, _ = line_structure(p, n)
     lines_with = [[ids for ids in lines if j in ids] for j in range(k)]
-    outer = []
-    for x in range(m1):
-        xs = decode(x, p, n)
-        for y in range(m1):
-            ys = decode(y, p, n)
-            outer.append(tuple(a * b % p for a in xs for b in ys))
     # per-option indicator column for one x, to scatter into the pair mask
     scatter = {fm: sum(1 << (m1 * y) for y in range(m1) if (fm >> y) & 1) for fm in options}
     counts = {
@@ -377,9 +372,10 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
         else:
             class_full_mask = 0
             rest = list(fibers)
-        alt = _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, outer)
+        verdict = is_bilinear(s)
+        alt = _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, verdict.span)
         counts[f"alt{alt}"] += 1
-        if is_bilinear(s).status == "bilinear":
+        if verdict.status == "bilinear":
             counts["bilinear"] += 1
 
     def descend(f0, j):
@@ -440,7 +436,7 @@ def classify_hyperplane_fibers(
         witnesses=witnesses,
         ok=ok,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(n_options, jobs),
     )
 
 
@@ -520,7 +516,7 @@ def search_sigma(
         witnesses=witnesses,
         ok=ok,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(total, jobs),
     )
 
 
@@ -528,11 +524,16 @@ def search_sigma(
 
 
 def _collineation_range(args: tuple, lo: int, hi: int):
+    """Maps of rank in [lo, hi), as mixed-radix digit tables with digit i
+    the image class of domain class i (digit 0 most significant).  A line
+    failing with largest class id j rules out every table sharing digits
+    0..j, a block of kc**(kd-1-j) consecutive ranks, so the odometer steps
+    digit j and skips the rest of that block."""
     p, n_dom, n_cod = args
     kd = _npoints(p, n_dom)
     kc = _npoints(p, n_cod)
-    lines, _ = line_structure(p, n_dom)
-    _, cod_span = line_structure(p, n_cod)
+    lines, cod_span = _line_tables(p, n_dom, n_cod)
+    block = [kc ** (kd - 1 - j) for j in range(kd)]
     counts = {
         "maps": hi - lo,
         "line_condition": 0,
@@ -545,25 +546,10 @@ def _collineation_range(args: tuple, lo: int, hi: int):
     r = lo
     for i in range(kd - 1, -1, -1):
         r, digits[i] = divmod(r, kc)
-    for rank in range(lo, hi):
-        passes = True
-        for ids in lines:
-            npts = len(ids)
-            for i in range(npts):
-                ci = digits[ids[i]]
-                for j in range(i + 1, npts):
-                    mask = cod_span[ci][digits[ids[j]]]
-                    for t in range(npts):
-                        if t != i and t != j and not mask >> digits[ids[t]] & 1:
-                            passes = False
-                            break
-                    if not passes:
-                        break
-                if not passes:
-                    break
-            if not passes:
-                break
-        if passes:
+    rank = lo
+    while rank < hi:
+        j = _first_failing_line(lines, cod_span, digits)
+        if j < 0:
             counts["line_condition"] += 1
             distinct = len(set(digits))
             if distinct == 1:
@@ -574,8 +560,12 @@ def _collineation_range(args: tuple, lo: int, hi: int):
                 counts["violations"] += 1
                 if len(witnesses) < 8:
                     witnesses.append([rank, list(digits)])
-        # odometer step to the next mixed-radix map table
-        i = kd - 1
+            j = kd - 1
+        # odometer step: clear the digits after j, then add one at digit j
+        rank = (rank // block[j] + 1) * block[j]
+        for i in range(j + 1, kd):
+            digits[i] = 0
+        i = j
         while i >= 0:
             digits[i] += 1
             if digits[i] < kc:
@@ -604,7 +594,7 @@ def verify_collineation_lemma(
         witnesses=witnesses,
         ok=counts["violations"] == 0,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(total, jobs),
     )
 
 
@@ -655,7 +645,7 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
         witnesses=witnesses,
         ok=counts["violations"] == 0,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(total, jobs),
     )
 
 
@@ -718,7 +708,7 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
         witnesses=witnesses,
         ok=counts["violations"] == 0,
         wall_time=time.perf_counter() - t0,
-        workers=jobs,
+        workers=_worker_count(total, jobs),
     )
 
 

@@ -19,8 +19,8 @@ from itertools import permutations
 from .fpcore import (
     MatP,
     ProjPoint,
-    VecP,
     check_cap,
+    encode,
     is_prime,
     proj_enumerate,
     rref,
@@ -122,9 +122,21 @@ def _image_class_table(m) -> tuple[int, ...]:
     return tuple(cod.class_of[pt.index] for pt in m.images)
 
 
-def _line_condition(p, n_dom, n_cod, img_classes) -> bool:
-    lines, span_mask = line_structure(p, n_dom)
+def _line_tables(p: int, n_dom: int, n_cod: int):
+    """Lines of the domain in order of their largest class id, and the
+    pair-span masks of the codomain."""
+    lines, _ = line_structure(p, n_dom)
     _, cod_span = line_structure(p, n_cod)
+    return sorted(lines, key=lambda ids: ids[-1]), cod_span
+
+
+def _first_failing_line(lines, cod_span, img_classes) -> int:
+    """Largest class id of the first line whose image breaks the line
+    condition, or -1 when every line passes.
+
+    With `lines` ordered by largest id, a failure at id j depends only on
+    the images of classes 0..j, so every table that agrees there fails too.
+    """
     for ids in lines:
         k = len(ids)
         for i in range(k):
@@ -133,8 +145,12 @@ def _line_condition(p, n_dom, n_cod, img_classes) -> bool:
                 mask = cod_span[ci][img_classes[ids[j]]]
                 for t in range(k):
                     if t != i and t != j and not mask >> img_classes[ids[t]] & 1:
-                        return False
-    return True
+                        return ids[-1]
+    return -1
+
+
+def _line_condition(p, n_dom, n_cod, img_classes) -> bool:
+    return _first_failing_line(*_line_tables(p, n_dom, n_cod), img_classes) < 0
 
 
 def is_line_preserving(m) -> bool:
@@ -174,11 +190,13 @@ def recognize_projective(m) -> MatP | None:
         return None
     cols = [tuple(lam[i] * c % p for c in basis_cols[i]) for i in range(nd)]
     mat = tuple(tuple(cols[i][r] for i in range(nd)) for r in range(nc))
-    f = MatP(p, mat)
+    # compare classes through the index tables; the zero vector has class -1
+    cod = vspace(p, nc)
+    images = _image_class_table(m)
     for cid, rep_idx in enumerate(sp.proj_reps):
-        x = VecP.from_index(rep_idx, p, nd)
-        fx = f.apply(x)
-        if fx.is_zero() or ProjPoint.from_vector(fx) != m.images[cid]:
+        x = sp.coords[rep_idx]
+        fx = encode([sum(a * b for a, b in zip(row, x)) % p for row in mat], p)
+        if cod.class_of[fx] != images[cid]:
             return None
     flat = [c for row in mat for c in row]
     lead = next(c for c in flat if c)

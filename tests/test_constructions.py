@@ -10,7 +10,15 @@ from transverse.constructions import (
     random_sigma,
     sigma_fig2,
 )
-from transverse.fpcore import Subspace
+from transverse.detrng import SplitMix64, exchange_shuffle
+from transverse.fpcore import (
+    ProjPoint,
+    Subspace,
+    VecP,
+    all_subspaces,
+    complement,
+    proj_enumerate,
+)
 from transverse.pairsets import is_transverse
 from transverse.projgeom import recognize_projective
 
@@ -82,6 +90,58 @@ def test_xi_construction_validations():
     xi = random_sigma(5, 2, seed=0)
     with pytest.raises(ValueError):
         build_P_xi(w_bad, line, xi)
+    w = Subspace.zero(5, 2)
+    plane = Subspace.from_rows([(1, 0, 0), (0, 1, 0)], 5, 3)
+    with pytest.raises(ValueError, match="field mismatch"):
+        build_P_xi(Subspace.zero(3, 2), line, xi)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        build_P_xi(w, Subspace.from_rows([(1, 0, 0)], 5, 3), xi)
+    with pytest.raises(ValueError, match="projective line"):
+        build_P_xi(w, plane, xi)  # codomain is not the ambient of l
+    with pytest.raises(ValueError, match="projective line"):
+        build_P_xi(w, plane, random_sigma(5, 3, seed=0))  # domain is not a line
+    # (0,0,1) lies off the plane z = 0
+    off_plane = ProjBijection.from_index_table(5, 2, 3, (25, 1, 6, 11, 16, 21))
+    with pytest.raises(ValueError, match="outside l"):
+        build_P_xi(w, plane, off_plane)
+
+
+def build_P_xi_reference(w, l, xi_prime):
+    """The per-x construction: reduce x mod w, look up the image of its
+    class, and lay the orthogonal hyperplane of that image over x."""
+    p = xi_prime.p
+    n1, n2 = w.ambient, l.ambient
+    m1, m2 = p**n1, p**n2
+    free = [j for j in range(n1) if j not in w.pivots]
+    mask = 0
+    for xi in range(m1):
+        r = w.residual(VecP.from_index(xi, p, n1))
+        if r.is_zero():
+            ys = range(m2)
+        else:
+            u = VecP(p, (r.coords[free[0]], r.coords[free[1]]))
+            img = xi_prime.image_of(ProjPoint.from_vector(u))
+            ys = complement(img.vector()).element_indices()
+        for yi in ys:
+            mask |= 1 << (xi + m1 * yi)
+    return mask
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2, 2), (5, 2, 2), (3, 3, 2), (2, 3, 3), (5, 3, 2), (7, 2, 2)]
+)
+def test_xi_tables_match_per_x_reference(shape):
+    p, n1, n2 = shape
+    rng = SplitMix64(1000 * p + 10 * n1 + n2)
+    ws = all_subspaces(p, n1, dim=n1 - 2)
+    ls = all_subspaces(p, n2, dim=2)
+    for _ in range(8):
+        w = ws[rng.below(len(ws))]
+        l = ls[rng.below(len(ls))]
+        pts = [pt for pt in proj_enumerate(p, n2) if l.member(pt.vector())]
+        exchange_shuffle(pts, rng)
+        xi = ProjBijection(p, 2, n2, tuple(pts))
+        assert build_P_xi(w, l, xi).indicator == build_P_xi_reference(w, l, xi)
 
 
 def test_xi_identity_is_bilinear():

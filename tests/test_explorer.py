@@ -5,7 +5,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from transverse import explorer
+from transverse import explorer, projgeom
 from transverse.bilinear import orth
 from transverse.detrng import SplitMix64
 from transverse.explorer import (
@@ -169,6 +169,10 @@ def test_process_count_is_bounded(monkeypatch):
     assert started == [3]
     explorer._map_ranges(lambda args, lo, hi: (lo, hi), (), 2, 64)
     assert started == [3, 2]
+    # a report records the processes started, not the jobs requested
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+    assert verify_collineation_lemma(2, 2, 2, jobs=4).workers == 2
+    assert started == [3, 2, 2]
 
 
 def test_collineation_p2_n2():
@@ -190,6 +194,84 @@ def test_collineation_p2_dom3_cod2():
     assert report.counts["line_condition"] == 3
     assert report.counts["constant"] == 3
     assert report.counts["injective"] == 0
+
+
+def _collineation_reference(p, n_dom, n_cod, lo, hi):
+    """Per-rank count with the reference line condition: no skipping."""
+    kd = explorer._npoints(p, n_dom)
+    kc = explorer._npoints(p, n_cod)
+    counts = {"maps": hi - lo, "line_condition": 0, "constant": 0, "injective": 0, "violations": 0}
+    witnesses = []
+    for rank in range(lo, hi):
+        digits = [rank // kc ** (kd - 1 - i) % kc for i in range(kd)]
+        if not projgeom._line_condition(p, n_dom, n_cod, digits):
+            continue
+        counts["line_condition"] += 1
+        distinct = len(set(digits))
+        if distinct == 1:
+            counts["constant"] += 1
+        elif distinct == kd:
+            counts["injective"] += 1
+        else:
+            counts["violations"] += 1
+            if len(witnesses) < 8:
+                witnesses.append([rank, digits])
+    return counts, witnesses
+
+
+def _inside_skipped_block(p, n_dom, n_cod):
+    """Ranks that the pruned odometer skips without visiting: the first
+    failing line of the map ends at class j < kd - 1 and the rank is not
+    the first of its block of kc**(kd-1-j) ranks."""
+    kd = explorer._npoints(p, n_dom)
+    kc = explorer._npoints(p, n_cod)
+    lines, cod_span = projgeom._line_tables(p, n_dom, n_cod)
+    out = []
+    for rank in range(kc**kd):
+        digits = [rank // kc ** (kd - 1 - i) % kc for i in range(kd)]
+        j = projgeom._first_failing_line(lines, cod_span, digits)
+        if 0 <= j < kd - 1 and rank % kc ** (kd - 1 - j):
+            out.append(rank)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_pruned_collineation_matches_per_rank_count(shape):
+    p, n_dom, n_cod = shape
+    total = explorer._npoints(p, n_cod) ** explorer._npoints(p, n_dom)
+    assert explorer._collineation_range(shape, 0, total) == _collineation_reference(
+        *shape, 0, total
+    )
+    # a projective line is its own only line, so only a domain of dimension
+    # 3 leaves ranks to skip; elsewhere the sub-ranges are drawn from all ranks
+    inside = _inside_skipped_block(*shape)
+    assert bool(inside) == (n_dom >= 3)
+    ends = inside or range(total + 1)
+    rng = SplitMix64(54 + total)
+    for _ in range(12):
+        lo, hi = sorted(ends[rng.below(len(ends))] for _ in range(2))
+        assert explorer._collineation_range(shape, lo, hi) == _collineation_reference(
+            *shape, lo, hi
+        )
+
+
+def test_pruned_collineation_witnesses(monkeypatch):
+    # keep three of the Fano plane's seven lines: many maps that are neither
+    # constant nor injective then pass, far more than the eight kept
+    real = projgeom.line_structure
+
+    def three_lines(p, n):
+        lines, span = real(p, n)
+        return (lines[:3] if n == 3 else lines), span
+
+    monkeypatch.setattr(projgeom, "line_structure", three_lines)
+    counts, witnesses = _collineation_reference(2, 3, 2, 0, 3**7)
+    assert counts["violations"] > 8
+    reports = [verify_collineation_lemma(2, 3, 2, jobs=jobs) for jobs in (1, 2)]
+    assert not reports[0].ok
+    assert reports[0].counts == counts
+    assert reports[0].witnesses == witnesses
+    assert reports[1].canonical() == reports[0].canonical()
 
 
 def test_fundamental_p2_n3():

@@ -1,5 +1,5 @@
 """Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
-(the span_closure family adds (5,2)).
+(the span_closure and form_zero_mask families add (5,2)).
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -8,7 +8,7 @@ suite is also callable as run_suite() which reports (cases, seconds).
 
 import time
 
-from transverse.bilinear import ann, closure, is_bilinear, orth
+from transverse.bilinear import _form_zero_mask, _outer_table, ann, closure, is_bilinear, orth
 from transverse.constructions import build_P_sigma, random_sigma
 from transverse.detrng import SplitMix64
 from transverse.fpcore import Subspace
@@ -20,6 +20,7 @@ COUNTS = {
     "galois": 2400,
     "closure": 2400,
     "span_closure": 1200,
+    "form_zero_mask": 800,
     "agreement": 2600,
     "phi_fixpoint": 1500,
     "dir_sum_symmetry": 1600,
@@ -81,6 +82,22 @@ def family_span_closure(cases, seed=106):
     return cases
 
 
+def family_form_zero_mask(cases, seed=107):
+    """The zero-set table of one form is the set of pairs on which the form,
+    evaluated directly on their outer products, vanishes."""
+    rng = SplitMix64(seed)
+    shapes = SHAPES + ((5, 2),)
+    for k in range(cases):
+        p, n = shapes[k % 4]
+        flat = tuple(rng.below(p) for _ in range(n * n))
+        direct = 0
+        for i, o in enumerate(_outer_table(p, n, n)):
+            if sum(f * c for f, c in zip(flat, o)) % p == 0:
+                direct |= 1 << i
+        assert _form_zero_mask(p, n, n, flat) == direct
+    return cases
+
+
 def family_agreement(cases, seed=103):
     """The fiberwise and direct transversality tests always agree."""
     rng = SplitMix64(seed)
@@ -134,6 +151,7 @@ FAMILIES = {
     "galois": family_galois,
     "closure": family_closure,
     "span_closure": family_span_closure,
+    "form_zero_mask": family_form_zero_mask,
     "agreement": family_agreement,
     "phi_fixpoint": family_phi_fixpoint,
     "dir_sum_symmetry": family_dir_sum_symmetry,
@@ -157,6 +175,10 @@ def test_family_closure():
 
 def test_family_span_closure():
     assert family_span_closure(COUNTS["span_closure"]) == COUNTS["span_closure"]
+
+
+def test_family_form_zero_mask():
+    assert family_form_zero_mask(COUNTS["form_zero_mask"]) == COUNTS["form_zero_mask"]
 
 
 def test_family_agreement():
