@@ -79,7 +79,6 @@ from .pairsets import (
 )
 from .projgeom import (
     ProjLine,
-    ProjMap,
     count_collineations,
     is_line_preserving,
     lines_enumerate,
@@ -101,7 +100,6 @@ __all__ = [
     "PairSet",
     "ProjBijection",
     "ProjLine",
-    "ProjMap",
     "ProjPoint",
     "SingleSet",
     "Subspace",

@@ -85,13 +85,6 @@ def eval_form(q: BilinearForm, x: VecP, y: VecP) -> int:
     ) % q.p
 
 
-def _eval_coords(mat, a, b, p: int) -> int:
-    return sum(
-        ai * sum(qij * bj for qij, bj in zip(row, b))
-        for ai, row in zip(a, mat)
-    ) % p
-
-
 @dataclass(frozen=True)
 class FormSpace:
     """A linear space of bilinear forms on coordinate space d1 x d2, stored

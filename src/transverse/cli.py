@@ -1,6 +1,12 @@
 """Command-line front end: constructions, checks, sweeps, and replayable
 certificates with stable on-disk formats.
 
+Every `verify` target runs through one table, `_SWEEPS`, keyed by the name a
+sweep certificate carries as its "sweep" parameter.  `verify` runs the first
+entry for its target that reads every flag given (any other flag is a usage
+error); `replay` checks a certificate's parameters against the entry it
+names and runs the same runner, so it re-runs exactly what `verify` ran.
+
 Set files and certificates are canonical JSON: keys sorted, no insignificant
 whitespace, one trailing newline.  A certificate's digest is the SHA-256 of
 the canonical serialization of its format_version/kind/parameters/payload --
@@ -20,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .bilinear import BilinearVerdict, FormSpace, ann, is_bilinear
 from .constructions import build_P_sigma, build_P_xi, f3_example, random_sigma, sigma_fig2
@@ -84,13 +91,6 @@ def make_certificate(kind: str, parameters: dict, payload: dict) -> dict:
     }
     doc["digest"] = content_digest(doc)
     return doc
-
-
-def report_certificate(report: SweepReport) -> dict:
-    """Certificate for a sweep: the sweep name joins the parameters, the
-    digestable payload is exactly the report's canonical payload."""
-    c = report.canonical()
-    return make_certificate("sweep_report", {"sweep": c["kind"], **c["parameters"]}, c["payload"])
 
 
 def write_document(doc: dict, path: str) -> None:
@@ -238,7 +238,7 @@ def _emit(lines: list, ok: bool, text: str) -> bool:
     return ok
 
 
-def _verify_f3(jobs: int) -> tuple[bool, dict, dict, list]:
+def _verify_f3() -> tuple:
     a = f3_example()
     verdict = is_bilinear(a)
     lines: list[str] = []
@@ -259,7 +259,7 @@ def _verify_f3(jobs: int) -> tuple[bool, dict, dict, list]:
     ok &= _emit(lines, verdict.status == "non_bilinear", f"verdict is {verdict.status}")
     payload = _set_payload(a, verdict)
     payload["transverse"] = True
-    return ok, {"construction": "f3", "p": 3, "n": 2}, payload, lines
+    return ok, "non_bilinear", {"construction": "f3", "p": 3, "n": 2}, payload, lines
 
 
 _SIGMA_ANN_ELEMENTS = sorted(
@@ -272,7 +272,7 @@ _SIGMA_ANN_ELEMENTS = sorted(
 )
 
 
-def _verify_sigma_fig2(jobs: int) -> tuple[bool, dict, dict, list]:
+def _verify_sigma_fig2() -> tuple:
     a = build_P_sigma(sigma_fig2())
     verdict = is_bilinear(a)
     lines: list[str] = []
@@ -296,7 +296,7 @@ def _verify_sigma_fig2(jobs: int) -> tuple[bool, dict, dict, list]:
     ok &= _emit(lines, verdict.status == "non_bilinear", f"verdict is {verdict.status}")
     payload = _set_payload(a, verdict)
     payload["transverse"] = True
-    return ok, {"construction": "sigma-fig2", "p": 2, "n": 3}, payload, lines
+    return ok, "non_bilinear", {"construction": "sigma-fig2", "p": 2, "n": 3}, payload, lines
 
 
 def _sweep_lines(report: SweepReport) -> list:
@@ -309,7 +309,21 @@ def _sweep_lines(report: SweepReport) -> list:
     return lines
 
 
-def _counting_payload() -> tuple[bool, dict]:
+def _report(report: SweepReport) -> tuple:
+    """A sweep's outcome as a runner returns it: the sweep name joins the
+    parameters, and the payload is exactly the report's canonical payload."""
+    c = report.canonical()
+    parameters = {"sweep": c["kind"], **c["parameters"]}
+    return report.ok, "sweep_report", parameters, c["payload"], _sweep_lines(report)
+
+
+def report_certificate(report: SweepReport) -> dict:
+    """Certificate for a sweep."""
+    _, kind, parameters, payload, _ = _report(report)
+    return make_certificate(kind, parameters, payload)
+
+
+def _verify_counting() -> tuple:
     equal, strict = [], []
     for p in (2, 3):
         b, pr = bijection_vs_projective(p)
@@ -325,43 +339,131 @@ def _counting_payload() -> tuple[bool, dict]:
         "exact_11_2_violated": inequality_check(11, 2, "exact_factorial"),
         "n0_stirling": n0_rows,
     }
-    ok = (
-        all(b == pr for _, b, pr in equal)
-        and all(b > pr for _, b, pr in strict)
-        and payload["exact_13_2_violated"]
-        and not payload["exact_11_2_violated"]
-        and all(n0 is not None and n0 <= 11 for _, n0 in n0_rows)
-    )
-    payload["ok"] = ok
-    return ok, payload
-
-
-def _verify_counting() -> tuple[bool, dict, dict, list]:
-    ok, payload = _counting_payload()
     lines = []
-    for p, b, pr in payload["bijections_equal"]:
-        _emit(lines, b == pr, f"p={p}: (p+1)! = {b} equals projective count {pr}")
-    for p, b, pr in payload["bijections_strict"]:
-        _emit(lines, b > pr, f"p={p}: (p+1)! = {b} exceeds projective count {pr}")
-    _emit(lines, payload["exact_13_2_violated"], "exact factorial beats the bound at (13, 2)")
-    _emit(lines, not payload["exact_11_2_violated"], "exact factorial stays below the bound at (11, 2)")
-    for p, n0 in payload["n0_stirling"]:
-        _emit(lines, n0 is not None and n0 <= 11, f"p={p}: stirling threshold n0 = {n0} <= 11")
-    return ok, {"sweep": "counting"}, payload, lines
+    ok = True
+    for p, b, pr in equal:
+        ok &= _emit(lines, b == pr, f"p={p}: (p+1)! = {b} equals projective count {pr}")
+    for p, b, pr in strict:
+        ok &= _emit(lines, b > pr, f"p={p}: (p+1)! = {b} exceeds projective count {pr}")
+    ok &= _emit(lines, payload["exact_13_2_violated"], "exact factorial beats the bound at (13, 2)")
+    ok &= _emit(lines, not payload["exact_11_2_violated"],
+                "exact factorial stays below the bound at (11, 2)")
+    for p, n0 in n0_rows:
+        ok &= _emit(lines, n0 is not None and n0 <= 11, f"p={p}: stirling threshold n0 = {n0} <= 11")
+    payload["ok"] = ok
+    return ok, "sweep_report", {"sweep": "counting"}, payload, lines
 
 
-def _classification_bundle(jobs: int) -> tuple[bool, dict, dict, list]:
+def _classification_bundle(params: dict, jobs: int, override_cap: bool) -> tuple:
     reports = [
-        classify_hyperplane_fibers(2, 2, jobs=jobs),
-        classify_hyperplane_fibers(3, 2, jobs=jobs),
-        xi_line_sweep(5, jobs=jobs),
+        classify_hyperplane_fibers(2, 2, jobs=jobs, override_cap=override_cap),
+        classify_hyperplane_fibers(3, 2, jobs=jobs, override_cap=override_cap),
+        xi_line_sweep(5, jobs=jobs, override_cap=override_cap),
     ]
     lines = []
     for report in reports:
         lines.extend(_sweep_lines(report))
     ok = all(r.ok for r in reports)
     payload = {"reports": [r.canonical() for r in reports], "ok": ok}
-    return ok, {"sweep": "classification_bundle"}, payload, lines
+    return ok, "sweep_report", {"sweep": "classification_bundle"}, payload, lines
+
+
+# ------------------------------------------------------------- sweep table
+
+
+class _Entry(NamedTuple):
+    """One way to run `verify`, and the certificate it writes."""
+
+    target: str       # the `verify` target
+    flags: dict       # verify flag -> CLI default; a None default marks an optional parameter
+    schema: dict      # certificate parameter (besides "sweep") -> type
+    run: Callable     # (params, jobs, override_cap) -> (ok, kind, parameters, payload, lines)
+    mode: str | None = None    # the --mode value that selects this entry
+    params: Callable = dict    # flag values -> the parameters `run` reads
+
+
+_PN = {"p": int, "n": int}
+
+# Keyed by the name a sweep certificate carries as parameters["sweep"]; f3 and
+# sigma-fig2 write set certificates, which replay from their own data.  A
+# sweep's certificate parameters are its keyword arguments.  The runners look
+# the sweep functions up at call time, so a wrapped module attribute (as a
+# tracer installs) is what runs.
+_SWEEPS = {
+    "f3": _Entry("f3", {}, {}, lambda prm, jobs, cap: _verify_f3()),
+    "sigma-fig2": _Entry("sigma-fig2", {}, {}, lambda prm, jobs, cap: _verify_sigma_fig2()),
+    "exhaustive_subset_sweep": _Entry(
+        "exhaustive", {"p": 2, "n": 2}, _PN,
+        lambda prm, jobs, cap: _report(exhaustive_subset_sweep(**prm, jobs=jobs)),
+    ),
+    "classification_bundle": _Entry("classification", {}, {}, _classification_bundle),
+    "classify_hyperplane_fibers": _Entry(
+        "classification", {"p": 2, "n": 2}, _PN,
+        lambda prm, jobs, cap: _report(classify_hyperplane_fibers(**prm, jobs=jobs, override_cap=cap)),
+    ),
+    "xi_line_sweep": _Entry(
+        "classification", {"p": 5}, {"p": int},
+        lambda prm, jobs, cap: _report(xi_line_sweep(**prm, jobs=jobs, override_cap=cap)),
+        mode="xi",
+    ),
+    "search_sigma": _Entry(
+        "sigma-search",
+        {"p": 2, "n": 3, "mode": "exhaustive", "samples": None, "seed": None},
+        {**_PN, "mode": str, "samples": int, "seed": int},
+        lambda prm, jobs, cap: _report(search_sigma(**prm, jobs=jobs, override_cap=cap)),
+    ),
+    "verify_collineation_lemma": _Entry(
+        "collineation", {"p": 2, "n": 3}, {"p": int, "n_dom": int, "n_cod": int},
+        lambda prm, jobs, cap: _report(verify_collineation_lemma(**prm, jobs=jobs, override_cap=cap)),
+        params=lambda flags: {"p": flags["p"], "n_dom": flags["n"], "n_cod": flags["n"]},
+    ),
+    "fundamental_sweep": _Entry(
+        "fundamental", {"p": 2, "n": 3}, _PN,
+        lambda prm, jobs, cap: _report(fundamental_sweep(**prm, jobs=jobs, override_cap=cap)),
+    ),
+    "counting": _Entry("counting", {}, {}, lambda prm, jobs, cap: _verify_counting()),
+}
+
+_VERIFY_FLAGS = {"p": int, "n": int, "mode": str, "samples": int, "seed": int}
+
+
+def _verify_entry(args) -> tuple[_Entry, dict]:
+    """The first entry for the target whose --mode selector matches and that
+    reads every flag given, with the parameters those flags make."""
+    given = {f: getattr(args, f) for f in _VERIFY_FLAGS if getattr(args, f) is not None}
+    entries = [e for e in _SWEEPS.values() if e.target == args.what]
+    for entry in entries:
+        rest = dict(given)
+        if entry.mode is not None and rest.pop("mode", None) != entry.mode:
+            continue
+        if rest.keys() <= entry.flags.keys():
+            values = {**entry.flags, **rest}
+            return entry, entry.params({k: v for k, v in values.items() if v is not None})
+    forms = [
+        " ".join(([f"--mode {e.mode}"] if e.mode else []) + [f"--{f}" for f in e.flags])
+        or "no flags"
+        for e in entries
+    ]
+    flags = " ".join(f"--{f} {v}" for f, v in given.items())
+    raise ValueError(f"verify {args.what} does not take {flags}; it takes {' | '.join(forms)}")
+
+
+def _sweep_entry(parameters: dict, path: str) -> tuple[_Entry, dict]:
+    """The entry a sweep certificate names, and its parameters once checked
+    against the entry: none missing, none extra, each of its type."""
+    name = _expect(parameters, "sweep", str, path)
+    entry = _SWEEPS.get(name)
+    if entry is None:
+        raise FileFormatError(f"{path}: certificate names unknown sweep {name!r}")
+    params = {k: v for k, v in parameters.items() if k != "sweep"}
+    extra = sorted(params.keys() - entry.schema.keys())
+    if extra:
+        raise FileFormatError(f"{path}: sweep {name!r} takes no parameters {extra}")
+    optional = {flag for flag, default in entry.flags.items() if default is None}
+    for field, types in entry.schema.items():
+        if field in params or field not in optional:
+            _expect(params, field, types, path)
+    return entry, params
 
 
 # ------------------------------------------------------------------ replay
@@ -380,25 +482,24 @@ def _vanishes(mat, coords, d1: int, d2: int, p: int) -> bool:
     )
 
 
-def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
+def _replay_set_certificate(cert: dict, path: str) -> tuple[bool, list]:
     parameters, payload = cert["parameters"], cert["payload"]
-    a = PairSet.from_pairs(
-        parameters["p"], parameters["n1"], parameters["n2"],
-        [tuple(e) for e in payload["pairs"]],
-    ) if "n1" in parameters else None
-    if a is None:
-        # construction certificates carry (construction, p, n) parameters
-        a = PairSet.from_pairs(
-            parameters["p"],
-            parameters["n"],
-            parameters["n"],
-            [tuple(e) for e in payload["pairs"]],
-        )
+    # construction certificates carry (construction, p, n) parameters
+    n1, n2 = ("n1", "n2") if "n1" in parameters else ("n", "n")
+    a = set_from_document({
+        "format_version": FORMAT_VERSION,
+        "p": _expect(parameters, "p", int, path),
+        "n1": _expect(parameters, n1, int, path),
+        "n2": _expect(parameters, n2, int, path),
+        "pairs": _expect(payload, "pairs", list, path),
+    }, path)
     lines = []
     if cert["kind"] == "transverse_check":
         fresh = _transverse_payload(a)
         ok = _emit(lines, fresh == payload, "transversality payload reproduces")
         return ok, lines
+    for field in ("w1", "w2", "ann_basis"):
+        _expect(payload, field, list, path)
     verdict = is_bilinear(a)
     fresh = _set_payload(a, verdict)
     if "transverse" in payload:
@@ -406,6 +507,8 @@ def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
     ok = _emit(lines, canonical_json(fresh) == canonical_json(payload), "set payload reproduces")
     expected_kind = "bilinear" if verdict.status == "bilinear" else "non_bilinear"
     ok &= _emit(lines, cert["kind"] == expected_kind, f"kind matches fresh verdict {verdict.status}")
+    if not ok:
+        return ok, lines  # the stored spans and forms need not even be well formed
     # independent vanishing checks straight from the serialized data: the
     # forms act on RREF coordinates in the payload's own spans w1 and w2
     w1 = Subspace(a.p, a.n1, tuple(tuple(r) for r in payload["w1"]))
@@ -417,7 +520,7 @@ def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
     for mat in payload["ann_basis"]:
         ok &= _emit(lines, _vanishes(mat, coords, w1.dim, w2.dim, a.p),
                     "annihilator basis form vanishes on the set")
-    if payload.get("witness") is not None:
+    if payload["witness"] is not None:
         x, y = payload["witness"]
         ok &= _emit(
             lines,
@@ -427,42 +530,15 @@ def _replay_set_certificate(cert: dict) -> tuple[bool, list]:
     return ok, lines
 
 
-_SWEEP_RUNNERS = {
-    "exhaustive_subset_sweep": lambda prm, jobs: exhaustive_subset_sweep(prm["p"], prm["n"], jobs=jobs),
-    "classify_hyperplane_fibers": lambda prm, jobs: classify_hyperplane_fibers(prm["p"], prm["n"], jobs=jobs),
-    "search_sigma": lambda prm, jobs: search_sigma(
-        prm["p"], prm["n"], mode=prm["mode"],
-        samples=prm.get("samples"), seed=prm.get("seed"), jobs=jobs,
-    ),
-    "verify_collineation_lemma": lambda prm, jobs: verify_collineation_lemma(
-        prm["p"], prm["n_dom"], prm["n_cod"], jobs=jobs
-    ),
-    "fundamental_sweep": lambda prm, jobs: fundamental_sweep(prm["p"], prm["n"], jobs=jobs),
-    "xi_line_sweep": lambda prm, jobs: xi_line_sweep(prm["p"], jobs=jobs),
-}
-
-
-def _replay_sweep_certificate(cert: dict, jobs: int) -> tuple[bool, list]:
-    parameters = dict(cert["parameters"])
-    sweep = parameters.pop("sweep", None)
+def _replay_sweep_certificate(cert: dict, args) -> tuple[bool, list]:
+    entry, params = _sweep_entry(cert["parameters"], args.cert)
+    _, kind, parameters, payload, _ = entry.run(params, args.jobs, args.override_cap)
+    # the stored digest already matches the stored content, so equal digests
+    # mean the run reproduced kind, parameters and payload
+    fresh = make_certificate(kind, parameters, payload)
     lines = []
-    if sweep == "counting":
-        ok, payload = _counting_payload()
-        ok = _emit(lines, canonical_json(payload) == canonical_json(cert["payload"]),
-                   "counting payload reproduces")
-        return ok, lines
-    if sweep == "classification_bundle":
-        ok, _, payload, _ = _classification_bundle(jobs)
-        ok = _emit(lines, canonical_json(payload) == canonical_json(cert["payload"]),
-                   "classification bundle payload reproduces")
-        return ok, lines
-    runner = _SWEEP_RUNNERS.get(sweep)
-    if runner is None:
-        raise FileFormatError(f"certificate names unknown sweep {sweep!r}")
-    report = runner(parameters, jobs)
-    fresh = report.canonical()["payload"]
-    ok = _emit(lines, canonical_json(fresh) == canonical_json(cert["payload"]),
-               f"{sweep} payload reproduces")
+    ok = _emit(lines, fresh["digest"] == cert["digest"],
+               f"{cert['parameters']['sweep']} payload reproduces")
     return ok, lines
 
 
@@ -535,49 +611,9 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    if args.what == "f3":
-        ok, parameters, payload, lines = _verify_f3(jobs)
-        cert = make_certificate("non_bilinear", parameters, payload)
-    elif args.what == "sigma-fig2":
-        ok, parameters, payload, lines = _verify_sigma_fig2(jobs)
-        cert = make_certificate("non_bilinear", parameters, payload)
-    elif args.what == "counting":
-        ok, parameters, payload, lines = _verify_counting()
-        cert = make_certificate("sweep_report", parameters, payload)
-    elif args.what == "classification" and args.p is None:
-        ok, parameters, payload, lines = _classification_bundle(jobs)
-        cert = make_certificate("sweep_report", parameters, payload)
-    else:
-        p = args.p if args.p is not None else 2
-        if args.what == "exhaustive":
-            report = exhaustive_subset_sweep(p, args.n if args.n is not None else 2, jobs=jobs)
-        elif args.what == "classification":
-            if p == 5 and (args.n is None or args.n == 2) and args.mode == "xi":
-                report = xi_line_sweep(p, jobs=jobs)
-            else:
-                report = classify_hyperplane_fibers(
-                    p, args.n if args.n is not None else 2, jobs=jobs,
-                    override_cap=args.override_cap,
-                )
-        elif args.what == "sigma-search":
-            report = search_sigma(
-                p, args.n if args.n is not None else 3,
-                mode=args.mode if args.mode else "exhaustive",
-                samples=args.samples, seed=args.seed, jobs=jobs,
-                override_cap=args.override_cap,
-            )
-        elif args.what == "collineation":
-            n = args.n if args.n is not None else 3
-            report = verify_collineation_lemma(p, n, n, jobs=jobs,
-                                               override_cap=args.override_cap)
-        elif args.what == "fundamental":
-            report = fundamental_sweep(p, args.n if args.n is not None else 3, jobs=jobs,
-                                       override_cap=args.override_cap)
-        else:
-            raise FileFormatError(f"unknown verification target {args.what!r}")
-        ok, lines = report.ok, _sweep_lines(report)
-        cert = report_certificate(report)
+    entry, params = _verify_entry(args)
+    ok, kind, parameters, payload, lines = entry.run(params, args.jobs, args.override_cap)
+    cert = make_certificate(kind, parameters, payload)
     for line in lines:
         print(line)
     print(f"{'VERIFIED' if ok else 'FAILED'} {args.what}")
@@ -593,9 +629,9 @@ def _cmd_replay(args) -> int:
         print("FAILED replay: digest does not match the certificate content", file=sys.stderr)
         return 1
     if cert["kind"] == "sweep_report":
-        ok, lines = _replay_sweep_certificate(cert, args.jobs)
+        ok, lines = _replay_sweep_certificate(cert, args)
     else:
-        ok, lines = _replay_set_certificate(cert)
+        ok, lines = _replay_set_certificate(cert, args.cert)
     for line in lines:
         print(line)
     print(f"{'VERIFIED' if ok else 'FAILED'} replay of {cert['kind']}")
@@ -656,13 +692,9 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_phi)
 
     v = sub.add_parser("verify", help="run a named verification")
-    v.add_argument("what", choices=["f3", "sigma-fig2", "exhaustive", "classification",
-                                    "sigma-search", "collineation", "fundamental", "counting"])
-    v.add_argument("--p", type=int)
-    v.add_argument("--n", type=int)
-    v.add_argument("--mode")
-    v.add_argument("--samples", type=int)
-    v.add_argument("--seed", type=int)
+    v.add_argument("what", choices=list(dict.fromkeys(e.target for e in _SWEEPS.values())))
+    for flag, kind in _VERIFY_FLAGS.items():
+        v.add_argument(f"--{flag}", type=kind)
     v.add_argument("--cert")
     v.set_defaults(func=_cmd_verify)
 

@@ -41,7 +41,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ProjBijection:
     """An injective map P(F_p^{n_dom}) -> P(F_p^{n_cod}), stored as the image
-    tuple aligned with the ascending-index enumeration of the domain."""
+    tuple aligned with the ascending-index enumeration of the domain.  It is
+    the one map type between projective point sets that the package builds."""
 
     p: int
     n_dom: int
@@ -78,11 +79,6 @@ class ProjBijection:
 
     def index_table(self) -> tuple[int, ...]:
         return tuple(pt.index for pt in self.images)
-
-    def is_permutation(self) -> bool:
-        return self.n_dom == self.n_cod and len(self.images) == len(
-            vspace(self.p, self.n_cod).proj_reps
-        )
 
 
 def f3_example() -> PairSet:

@@ -43,7 +43,6 @@ from .pairsets import (
     transversality_violation,
 )
 from .projgeom import (
-    ProjMap,
     _first_failing_line,
     _line_condition,
     _line_tables,
@@ -616,7 +615,7 @@ def _fundamental_range(args: tuple, lo: int, hi: int):
         table = perm_unrank(rank, k)
         preserving = _line_condition(p, n, n, table)
         images = tuple(pts[i] for i in table)
-        projective = recognize_projective(ProjMap(p, n, n, images)) is not None
+        projective = recognize_projective(ProjBijection(p, n, n, images)) is not None
         counts["line_preserving"] += preserving
         counts["projective"] += projective
         if preserving != projective:

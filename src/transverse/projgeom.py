@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+from .constructions import ProjBijection
 from .fpcore import (
     MatP,
     ProjPoint,
@@ -29,7 +30,6 @@ from .fpcore import (
 
 __all__ = [
     "ProjLine",
-    "ProjMap",
     "count_collineations",
     "gl_order",
     "is_line_preserving",
@@ -55,27 +55,6 @@ class ProjLine:
         idx = [pt.index for pt in self.points]
         if idx != sorted(idx):
             raise ValueError("line points must be in ascending index order")
-
-
-@dataclass(frozen=True)
-class ProjMap:
-    """A total (not necessarily injective) map P(F_p^{n_dom}) -> P(F_p^{n_cod}),
-    as the image tuple over the ascending-index domain enumeration."""
-
-    p: int
-    n_dom: int
-    n_cod: int
-    images: tuple[ProjPoint, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        k = len(vspace(self.p, self.n_dom).proj_reps)
-        if len(self.images) != k:
-            raise ValueError(f"need {k} images, got {len(self.images)}")
-        for pt in self.images:
-            if pt.p != self.p or pt.n != self.n_cod:
-                raise ValueError("image point lives in the wrong space")
 
 
 @lru_cache(maxsize=None)
@@ -162,15 +141,14 @@ def is_line_preserving(m) -> bool:
 
 def recognize_projective(m) -> MatP | None:
     """The matrix (up to scalar, normalized so its first nonzero entry is 1)
-    of a linear map inducing m, or None when m is not projective.
+    of a linear map inducing the ProjBijection m, or None when m is not
+    projective.
 
     Solves the frame equations: images of the basis classes fix the columns
     up to scalars, the image of the all-ones class fixes the scalars, and
     the resulting candidate is checked against the whole table.
     """
     p, nd, nc = m.p, m.n_dom, m.n_cod
-    if len({pt.index for pt in m.images}) != len(m.images):
-        return None  # projective maps are injective
     sp = vspace(p, nd)
     basis_cols = []
     for i in range(nd):
@@ -231,6 +209,6 @@ def count_collineations(p: int, n: int, mode: str = "exhaustive") -> tuple[int, 
     check_cap(total, what="bijection enumeration")
     n_proj = 0
     for images in permutations(pts):
-        if recognize_projective(ProjMap(p, n, n, images)) is not None:
+        if recognize_projective(ProjBijection(p, n, n, images)) is not None:
             n_proj += 1
     return total, n_proj

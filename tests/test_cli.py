@@ -2,9 +2,11 @@
 
 import json
 import os
+import shlex
 
 import pytest
 
+from transverse import cli, fpcore
 from transverse.cli import (
     FileFormatError,
     canonical_json,
@@ -192,3 +194,138 @@ def test_bad_job_counts_are_usage_errors(monkeypatch, capsys):
     assert run(["verify", "f3"]) == 2
     # an explicit --jobs takes precedence over the environment
     assert run(["--jobs", "1", "verify", "f3"]) == 0
+
+
+# ------------------------------------------------------- the sweep table
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+# one verify call per entry of the sweep table, at small sizes, with the
+# entry its certificate must name
+ROUND_TRIPS = [
+    ("f3", ["verify", "f3"]),
+    ("sigma-fig2", ["verify", "sigma-fig2"]),
+    ("exhaustive_subset_sweep", ["verify", "exhaustive", "--p", "2", "--n", "1"]),
+    ("classify_hyperplane_fibers", ["verify", "classification", "--p", "2", "--n", "2"]),
+    ("xi_line_sweep", ["verify", "classification", "--p", "3", "--mode", "xi"]),
+    ("classification_bundle", ["verify", "classification"]),
+    ("search_sigma", ["verify", "sigma-search", "--p", "2", "--n", "2"]),
+    ("search_sigma", ["verify", "sigma-search", "--p", "2", "--n", "2",
+                      "--mode", "samples", "--samples", "5", "--seed", "4"]),
+    ("verify_collineation_lemma", ["verify", "collineation", "--p", "2", "--n", "2"]),
+    ("fundamental_sweep", ["verify", "fundamental", "--p", "2", "--n", "3"]),
+    ("counting", ["verify", "counting"]),
+]
+
+
+def _write_cert(path, kind, parameters, payload):
+    write_document(make_certificate(kind, parameters, payload), path)
+    return path
+
+
+def test_round_trips_cover_the_table():
+    assert {name for name, _ in ROUND_TRIPS} == set(cli._SWEEPS)
+
+
+@pytest.mark.parametrize("name,argv", ROUND_TRIPS, ids=[" ".join(a[1:]) for _, a in ROUND_TRIPS])
+def test_verify_then_replay(name, argv, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    assert run(["--jobs", "1"] + argv + ["--cert", cert]) == 0
+    parameters = read_certificate(cert)["parameters"]
+    assert parameters.get("sweep", parameters.get("construction")) == name
+    capsys.readouterr()
+    assert run(["--jobs", "2", "replay", "--cert", cert]) == 0
+    assert "VERIFIED replay" in capsys.readouterr().out
+
+
+def test_golden_sweep_reports_name_table_entries():
+    for name in os.listdir(GOLDEN):
+        doc = read_certificate(os.path.join(GOLDEN, name))
+        if doc["kind"] == "sweep_report":
+            entry, params = cli._sweep_entry(doc["parameters"], name)
+            assert entry is cli._SWEEPS[doc["parameters"]["sweep"]]
+
+
+def test_replay_honours_override_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(fpcore, "DEFAULT_ENUMERATION_CAP", 10)
+    cert = str(tmp_path / "col.json")
+    # (2,2): 3^3 = 27 total maps, over the cap of 10
+    assert run(["verify", "collineation", "--p", "2", "--n", "2"]) == 2
+    assert run(["--override-cap", "verify", "collineation", "--p", "2", "--n", "2",
+                "--cert", cert]) == 0
+    assert run(["--override-cap", "replay", "--cert", cert]) == 0
+    capsys.readouterr()
+    assert run(["replay", "--cert", cert]) == 2
+    assert "enumeration cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parameters,message", [
+    ({"sweep": "exhaustive_subset_sweep"}, "missing field 'p'"),
+    ({"sweep": "exhaustive_subset_sweep", "p": "5", "n": 1}, "'p' has the wrong type"),
+    ({"sweep": "exhaustive_subset_sweep", "p": True, "n": 1}, "'p' has the wrong type"),
+    ({"sweep": "exhaustive_subset_sweep", "p": 2, "n": 1, "jobs": 4}, "takes no parameters"),
+    ({"sweep": "search_sigma", "p": 2, "n": 2, "mode": 1}, "'mode' has the wrong type"),
+    ({"sweep": "verify_collineation_lemma", "p": 2, "n_dom": 2}, "missing field 'n_cod'"),
+    ({"sweep": "verify_collineation_lemma", "p": 2, "n": 2}, "takes no parameters ['n']"),
+    ({"sweep": "no_such_sweep"}, "unknown sweep"),
+    ({"sweep": ["counting"]}, "'sweep' has the wrong type"),
+    ({}, "missing field 'sweep'"),
+])
+def test_malformed_sweep_certificate_is_a_usage_error(parameters, message, tmp_path, capsys):
+    cert = _write_cert(str(tmp_path / "c.json"), "sweep_report", parameters, {})
+    assert run(["replay", "--cert", cert]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_set_certificate_is_a_usage_error(tmp_path, capsys):
+    src = str(tmp_path / "f3.json")
+    cert = str(tmp_path / "bl.json")
+    assert run(["construct", "f3", "--out", src]) == 0
+    assert run(["check", "bilinear", "--set", src, "--cert", cert]) == 1
+    doc = read_certificate(cert)
+    for field in ("pairs", "w1", "w2", "ann_basis"):
+        payload = {k: v for k, v in doc["payload"].items() if k != field}
+        broken = _write_cert(str(tmp_path / f"no_{field}.json"), doc["kind"],
+                             doc["parameters"], payload)
+        assert run(["replay", "--cert", broken]) == 2
+        assert f"missing field '{field}'" in capsys.readouterr().err
+    payload = dict(doc["payload"], w1=[5])  # malformed rows: the payload cannot reproduce
+    broken = _write_cert(str(tmp_path / "rows.json"), doc["kind"], doc["parameters"], payload)
+    assert run(["replay", "--cert", broken]) == 1
+    payload = dict(doc["payload"], pairs=[[0, 0], ["x", 1]])
+    broken = _write_cert(str(tmp_path / "pairs.json"), doc["kind"], doc["parameters"], payload)
+    assert run(["replay", "--cert", broken]) == 2
+    broken = _write_cert(str(tmp_path / "p.json"), doc["kind"],
+                         dict(doc["parameters"], p="3"), doc["payload"])
+    assert run(["replay", "--cert", broken]) == 2
+
+
+def test_verify_rejects_flags_its_target_does_not_read(tmp_path, capsys):
+    assert run(["verify", "f3", "--p", "7"]) == 2
+    assert "does not take --p 7" in capsys.readouterr().err
+    assert run(["verify", "exhaustive", "--mode", "bogus"]) == 2
+    assert run(["verify", "counting", "--seed", "1"]) == 2
+    assert run(["verify", "classification", "--mode", "xi", "--n", "2"]) == 2
+    assert run(["verify", "classification", "--p", "3", "--samples", "4"]) == 2
+
+
+def test_mode_xi_selects_the_xi_sweep_at_any_p(tmp_path, capsys):
+    cert = str(tmp_path / "xi3.json")
+    assert run(["verify", "classification", "--p", "3", "--mode", "xi", "--cert", cert]) == 0
+    assert read_certificate(cert)["parameters"] == {"sweep": "xi_line_sweep", "p": 3}
+    capsys.readouterr()
+    assert run(["replay", "--cert", cert]) == 0
+    assert "VERIFIED replay" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("transverse ")]
+    assert len(lines) >= 5
+    parser = cli._build_parser()
+    parsed = [parser.parse_args(shlex.split(line)[1:]) for line in lines]
+    for args in parsed:
+        if args.command == "verify":
+            cli._verify_entry(args)  # every flag is one its target reads
