@@ -40,6 +40,6 @@ print("  constant:      ", lemma.counts["constant"])
 print("  injective:     ", lemma.counts["injective"])
 print("violations:      ", lemma.counts["violations"])
 
-# The formula mode skips the sweep and reports |PGL| directly.
-total, projective = count_collineations(2, 3, mode="formula")
+# The formula needs no sweep: it reports 7! and |PGL(3, F_2)| directly.
+total, projective = count_collineations(2, 3)
 print("\nformula check: ", total, "permutations,", projective, "projective")

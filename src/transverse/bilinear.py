@@ -13,8 +13,9 @@ dim W2 - dim S(A).  closure and is_bilinear decide from one incremental RREF
 basis of S(A) per set, built from a cached table of flattened outer
 products; the basis is canonical, so it also keys the zero-set table.  The
 annihilator itself is certificate content only: the ``ann`` attribute of a
-result is computed by ann() when first read.  ann and orth stay public and
-are the reference route the tests check the fast one against.
+result is the kernel of S(A) in the coordinates of W1 and W2, computed from
+(W1, W2, S(A)) when read.  ann and orth stay public and are the reference
+route the tests check the fast one against.
 
 Annihilator form spaces are stored in the coordinates of the two reference
 subspaces: a form is a (dim w1) x (dim w2) matrix evaluated on RREF
@@ -24,8 +25,8 @@ matrix of the form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .fpcore import MatP, Subspace, VecP, decode, is_prime, rref, rref_kernel
@@ -189,18 +190,13 @@ def ann(a: PairSet, w1: Subspace | None = None, w2: Subspace | None = None) -> F
     return FormSpace(a.p, d1, d2, tuple(FormSpace._reshape(b, d2) for b in kern.basis))
 
 
-@lru_cache(maxsize=4096)
-def _member_grid(sub: Subspace):
-    return tuple(zip(sub.element_indices(), product(range(sub.p), repeat=sub.dim)))
-
-
 def orth(m: FormSpace, w1: Subspace, w2: Subspace) -> PairSet:
     """Joint zero set of a form space inside w1 x w2, as an ambient PairSet."""
     if w1.p != m.p or w2.p != m.p or w1.dim != m.n1 or w2.dim != m.n2:
         raise ValueError("form space does not match the reference subspaces")
     p = m.p
-    xs = _member_grid(w1)
-    ys = _member_grid(w2)
+    xs = _coords_table(w1).items()
+    ys = _coords_table(w2).items()
     m1 = p**w1.ambient
     mask = 0
     basis = m.basis
@@ -325,20 +321,18 @@ def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
     return out
 
 
-# ann over W1 x W2 depends on A only through (W1, W2, S(A)): a form vanishes
-# on A exactly when it vanishes on S(A).  So the lazily read annihilator is
-# memoised on that key; cleared when full, like a bounded cache.
-_ANN_BY_SPAN: dict = {}
-
-
-def _span_ann(a: PairSet, w1: Subspace, w2: Subspace, span: tuple) -> FormSpace:
-    key = (w1, w2, span)
-    m = _ANN_BY_SPAN.get(key)
-    if m is None:
-        if len(_ANN_BY_SPAN) >= 4096:
-            _ANN_BY_SPAN.clear()
-        m = _ANN_BY_SPAN[key] = ann(a, w1, w2)
-    return m
+@lru_cache(maxsize=4096)
+def _span_ann(w1: Subspace, w2: Subspace, span: tuple) -> FormSpace:
+    """ann(A, W1, W2) from (W1, W2, S(A)): a form vanishes on A exactly when
+    it vanishes on S(A).  The RREF coordinates of a member of W are its
+    entries at the pivots of W, so S(A) in W-coordinates is its basis
+    restricted to (pivots of W1) x (pivots of W2); an empty span leaves one
+    zero row, whose kernel is every form."""
+    cols = [i * w2.ambient + j for i in w1.pivots for j in w2.pivots]
+    rows = tuple(tuple(b[c] for c in cols) for b in span) or ((0,) * len(cols),)
+    _, kern, _ = rref_kernel(MatP(w1.p, rows))
+    forms = tuple(FormSpace._reshape(b, w2.dim) for b in kern.basis)
+    return FormSpace(w1.p, w1.dim, w2.dim, forms)
 
 
 @dataclass(frozen=True)
@@ -347,18 +341,17 @@ class ClosureResult:
 
     span is the canonical RREF basis of S(A) = span{x (x) y : (x, y) in A},
     flattened row-major.  ann, the annihilator over w1 x w2 in their RREF
-    coordinates, is computed on first read.
+    coordinates, is computed when read.
     """
 
     w1: Subspace
     w2: Subspace
     span: tuple
     closed: PairSet
-    source: PairSet = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def ann(self) -> FormSpace:
-        return _span_ann(self.source, self.w1, self.w2, self.span)
+        return _span_ann(self.w1, self.w2, self.span)
 
 
 def _closure(a: PairSet, pi1: SingleSet, pi2: SingleSet) -> ClosureResult:
@@ -366,7 +359,7 @@ def _closure(a: PairSet, pi1: SingleSet, pi2: SingleSet) -> ClosureResult:
     w2 = mask_to_subspace(a.p, a.n2, pi2.indicator)
     span = _span_basis(a, w1.dim * w2.dim)
     closed = PairSet(a.p, a.n1, a.n2, _span_closure(w1, w2, span))
-    return ClosureResult(w1, w2, span, closed, a)
+    return ClosureResult(w1, w2, span, closed)
 
 
 def closure(a: PairSet) -> ClosureResult:
@@ -386,7 +379,7 @@ class BilinearVerdict:
 
     status is "bilinear", "non_bilinear" or "empty".  w1/w2 are the spans of
     the projections, span the RREF basis of S(A), ann the annihilator over
-    w1 x w2 (computed on first read).  For a non-bilinear set either
+    w1 x w2 (computed when read).  For a non-bilinear set either
     non_subspace_axis names the projection that is not a subspace
     ("first"/"second"), or witness is the smallest-index pair in the closure
     that is missing from the set (often both are available).
@@ -399,11 +392,10 @@ class BilinearVerdict:
     closed: PairSet
     witness: tuple[int, int] | None
     non_subspace_axis: str | None
-    source: PairSet = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def ann(self) -> FormSpace:
-        return _span_ann(self.source, self.w1, self.w2, self.span)
+        return _span_ann(self.w1, self.w2, self.span)
 
     @property
     def r1(self) -> int:
@@ -431,7 +423,7 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
     res = _closure(a, pi1, pi2)
     fields = (res.w1, res.w2, res.span, res.closed)
     if not a.indicator:
-        return BilinearVerdict("empty", *fields, None, None, a)
+        return BilinearVerdict("empty", *fields, None, None)
     axis = None
     if pi1.indicator != subspace_mask(res.w1):
         axis = "first"
@@ -446,5 +438,5 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
         m1 = a.p**a.n1
         witness = (i % m1, i // m1)
     if axis is None and not extra:
-        return BilinearVerdict("bilinear", *fields, None, None, a)
-    return BilinearVerdict("non_bilinear", *fields, witness, axis, a)
+        return BilinearVerdict("bilinear", *fields, None, None)
+    return BilinearVerdict("non_bilinear", *fields, witness, axis)

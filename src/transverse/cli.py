@@ -6,6 +6,8 @@ sweep certificate carries as its "sweep" parameter.  `verify` runs the first
 entry for its target that reads every flag given (any other flag is a usage
 error); `replay` checks a certificate's parameters against the entry it
 names and runs the same runner, so it re-runs exactly what `verify` ran.
+The six explorer sweeps share one runner, which calls the sweep of the
+entry's name with the certificate parameters as keyword arguments.
 
 Set files and certificates are canonical JSON: keys sorted, no insignificant
 whitespace, one trailing newline.  A certificate's digest is the SHA-256 of
@@ -26,20 +28,14 @@ import hashlib
 import json
 import os
 import sys
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
+from . import explorer
 from .bilinear import BilinearVerdict, FormSpace, ann, is_bilinear
 from .constructions import build_P_sigma, build_P_xi, f3_example, random_sigma, sigma_fig2
 from .counting import bijection_vs_projective, inequality_check, n0_estimate
-from .explorer import (
-    SweepReport,
-    classify_hyperplane_fibers,
-    exhaustive_subset_sweep,
-    fundamental_sweep,
-    search_sigma,
-    verify_collineation_lemma,
-    xi_line_sweep,
-)
+from .explorer import SweepReport
 from .fpcore import CapExceeded, Subspace, VecP, is_prime
 from .pairsets import PairSet, phi, transversality_violation
 
@@ -317,6 +313,14 @@ def _report(report: SweepReport) -> tuple:
     return report.ok, "sweep_report", parameters, c["payload"], _sweep_lines(report)
 
 
+def _run_sweep(name: str, params: dict, jobs: int, override_cap: bool) -> tuple:
+    """The runner of every explorer sweep: explorer.<name>, looked up when
+    called, so a wrapped module attribute (as a tracer installs) is what
+    runs."""
+    sweep = getattr(explorer, name)
+    return _report(sweep(**params, jobs=jobs, override_cap=override_cap))
+
+
 def report_certificate(report: SweepReport) -> dict:
     """Certificate for a sweep."""
     _, kind, parameters, payload, _ = _report(report)
@@ -356,9 +360,9 @@ def _verify_counting() -> tuple:
 
 def _classification_bundle(params: dict, jobs: int, override_cap: bool) -> tuple:
     reports = [
-        classify_hyperplane_fibers(2, 2, jobs=jobs, override_cap=override_cap),
-        classify_hyperplane_fibers(3, 2, jobs=jobs, override_cap=override_cap),
-        xi_line_sweep(5, jobs=jobs, override_cap=override_cap),
+        explorer.classify_hyperplane_fibers(2, 2, jobs=jobs, override_cap=override_cap),
+        explorer.classify_hyperplane_fibers(3, 2, jobs=jobs, override_cap=override_cap),
+        explorer.xi_line_sweep(5, jobs=jobs, override_cap=override_cap),
     ]
     lines = []
     for report in reports:
@@ -377,7 +381,9 @@ class _Entry(NamedTuple):
     target: str       # the `verify` target
     flags: dict       # verify flag -> CLI default; a None default marks an optional parameter
     schema: dict      # certificate parameter (besides "sweep") -> type
-    run: Callable     # (params, jobs, override_cap) -> (ok, kind, parameters, payload, lines)
+    # (params, jobs, override_cap) -> (ok, kind, parameters, payload, lines);
+    # None runs the explorer sweep of the entry's name
+    run: Callable | None = None
     mode: str | None = None    # the --mode value that selects this entry
     params: Callable = dict    # flag values -> the parameters `run` reads
 
@@ -386,42 +392,28 @@ _PN = {"p": int, "n": int}
 
 # Keyed by the name a sweep certificate carries as parameters["sweep"]; f3 and
 # sigma-fig2 write set certificates, which replay from their own data.  A
-# sweep's certificate parameters are its keyword arguments.  The runners look
-# the sweep functions up at call time, so a wrapped module attribute (as a
-# tracer installs) is what runs.
+# sweep's certificate parameters are its keyword arguments.
 _SWEEPS = {
-    "f3": _Entry("f3", {}, {}, lambda prm, jobs, cap: _verify_f3()),
-    "sigma-fig2": _Entry("sigma-fig2", {}, {}, lambda prm, jobs, cap: _verify_sigma_fig2()),
-    "exhaustive_subset_sweep": _Entry(
-        "exhaustive", {"p": 2, "n": 2}, _PN,
-        lambda prm, jobs, cap: _report(exhaustive_subset_sweep(**prm, jobs=jobs)),
-    ),
-    "classification_bundle": _Entry("classification", {}, {}, _classification_bundle),
-    "classify_hyperplane_fibers": _Entry(
-        "classification", {"p": 2, "n": 2}, _PN,
-        lambda prm, jobs, cap: _report(classify_hyperplane_fibers(**prm, jobs=jobs, override_cap=cap)),
-    ),
-    "xi_line_sweep": _Entry(
-        "classification", {"p": 5}, {"p": int},
-        lambda prm, jobs, cap: _report(xi_line_sweep(**prm, jobs=jobs, override_cap=cap)),
-        mode="xi",
-    ),
-    "search_sigma": _Entry(
-        "sigma-search",
-        {"p": 2, "n": 3, "mode": "exhaustive", "samples": None, "seed": None},
-        {**_PN, "mode": str, "samples": int, "seed": int},
-        lambda prm, jobs, cap: _report(search_sigma(**prm, jobs=jobs, override_cap=cap)),
-    ),
-    "verify_collineation_lemma": _Entry(
-        "collineation", {"p": 2, "n": 3}, {"p": int, "n_dom": int, "n_cod": int},
-        lambda prm, jobs, cap: _report(verify_collineation_lemma(**prm, jobs=jobs, override_cap=cap)),
-        params=lambda flags: {"p": flags["p"], "n_dom": flags["n"], "n_cod": flags["n"]},
-    ),
-    "fundamental_sweep": _Entry(
-        "fundamental", {"p": 2, "n": 3}, _PN,
-        lambda prm, jobs, cap: _report(fundamental_sweep(**prm, jobs=jobs, override_cap=cap)),
-    ),
-    "counting": _Entry("counting", {}, {}, lambda prm, jobs, cap: _verify_counting()),
+    name: entry if entry.run else entry._replace(run=partial(_run_sweep, name))
+    for name, entry in {
+        "f3": _Entry("f3", {}, {}, lambda prm, jobs, cap: _verify_f3()),
+        "sigma-fig2": _Entry("sigma-fig2", {}, {}, lambda prm, jobs, cap: _verify_sigma_fig2()),
+        "exhaustive_subset_sweep": _Entry("exhaustive", {"p": 2, "n": 2}, _PN),
+        "classification_bundle": _Entry("classification", {}, {}, _classification_bundle),
+        "classify_hyperplane_fibers": _Entry("classification", {"p": 2, "n": 2}, _PN),
+        "xi_line_sweep": _Entry("classification", {"p": 5}, {"p": int}, mode="xi"),
+        "search_sigma": _Entry(
+            "sigma-search",
+            {"p": 2, "n": 3, "mode": "exhaustive", "samples": None, "seed": None},
+            {**_PN, "mode": str, "samples": int, "seed": int},
+        ),
+        "verify_collineation_lemma": _Entry(
+            "collineation", {"p": 2, "n": 3}, {"p": int, "n_dom": int, "n_cod": int},
+            params=lambda flags: {"p": flags["p"], "n_dom": flags["n"], "n_cod": flags["n"]},
+        ),
+        "fundamental_sweep": _Entry("fundamental", {"p": 2, "n": 3}, _PN),
+        "counting": _Entry("counting", {}, {}, lambda prm, jobs, cap: _verify_counting()),
+    }.items()
 }
 
 _VERIFY_FLAGS = {"p": int, "n": int, "mode": str, "samples": int, "seed": int}
@@ -660,7 +652,10 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use and then reused: parse_args returns a fresh
+    namespace each call."""
     parser = argparse.ArgumentParser(
         prog="transverse",
         description="Exact computations with transverse and bilinear sets over F_p.",

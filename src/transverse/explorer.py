@@ -10,6 +10,15 @@ can be split into contiguous rank ranges and merged back in rank order.  A
 SweepReport's digestable content is a function of the parameters alone;
 wall time and worker count are carried only as metadata, and a sweep run
 with 1 worker is bit-for-bit the same report as with 8.
+
+Every public sweep has the signature (..., jobs=1, override_cap=False) and
+does three things of its own: it checks its parameters (a prime p,
+dimensions and sample counts of at least 1, each a ValueError before any cap
+check), it checks its enumeration budget (CapExceeded unless override_cap),
+and it hands a rank-range worker to the one driver, _sweep.  The driver
+times the run, maps the worker over the ranges, merges the partial counts
+and witnesses in rank order, and decides `ok` with the sweep's predicate on
+the merged counts alone.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .fpcore import (
     all_subspaces,
     check_cap,
     decode,
+    is_prime,
     proj_enumerate,
     vspace,
 )
@@ -147,6 +157,28 @@ def _merge(parts: list, cap: int = 8) -> tuple[dict, list]:
     return counts, witnesses[:cap]
 
 
+def _sweep(kind: str, parameters: dict, worker, args: tuple, total: int, jobs: int,
+           ok, cap: int = 8) -> SweepReport:
+    """The driver of every sweep: `worker` over the ranks [0, total) in
+    contiguous ranges, merged in rank order, with `ok` a predicate on the
+    merged counts."""
+    t0 = time.perf_counter()
+    counts, witnesses = _merge(_map_ranges(worker, args, total, jobs), cap)
+    return SweepReport(kind, parameters, counts, witnesses, ok(counts),
+                       wall_time=time.perf_counter() - t0, workers=_worker_count(total, jobs))
+
+
+def _check_sizes(p: int, *dims: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dimensions must be at least 1, got {', '.join(map(str, dims))}")
+
+
+def _no_violations(counts: dict) -> bool:
+    return counts["violations"] == 0
+
+
 def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     """The permutation of range(n) with the given lexicographic rank."""
     total = math.factorial(n)
@@ -248,30 +280,24 @@ def _subset_range(args: tuple, lo: int, hi: int):
     return counts, witnesses
 
 
-def exhaustive_subset_sweep(p: int, n: int, jobs: int = 1) -> SweepReport:
+def exhaustive_subset_sweep(
+    p: int, n: int, jobs: int = 1, override_cap: bool = False
+) -> SweepReport:
     """Scan every subset of F_p^n x F_p^n: each one gets an is_bilinear
     verdict cross-checked against direct membership in the enumerated
     bilinear family, and every nonempty transverse subset must be bilinear.
-    Only pair spaces of at most 16 points are powerset-enumerable; larger
-    parameters go through classify_hyperplane_fibers instead."""
+    Only pair spaces of at most 16 points are powerset-enumerable without
+    override_cap; larger parameters go through classify_hyperplane_fibers."""
+    _check_sizes(p, n)
     bits = p ** (2 * n)
-    if bits > 16:
+    if bits > 16 and not override_cap:
         raise CapExceeded(
-            f"powerset sweep needs p^2n <= 16 pair-space points, got {bits}"
+            f"powerset sweep needs p^2n <= 16 pair-space points, got {bits}; "
+            "pass override_cap=True to force"
         )
-    t0 = time.perf_counter()
-    total = 1 << bits
-    parts = _map_ranges(_subset_range, (p, n), total, jobs)
-    counts, witnesses = _merge(parts)
-    ok = counts["transverse_non_bilinear"] == 0 and counts["oracle_mismatch"] == 0
-    return SweepReport(
-        kind="exhaustive_subset_sweep",
-        parameters={"p": p, "n": n},
-        counts=counts,
-        witnesses=witnesses,
-        ok=ok,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(total, jobs),
+    return _sweep(
+        "exhaustive_subset_sweep", {"p": p, "n": n}, _subset_range, (p, n), 1 << bits, jobs,
+        lambda c: c["transverse_non_bilinear"] == 0 and c["oracle_mismatch"] == 0,
     )
 
 
@@ -340,6 +366,7 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     # per-option indicator column for one x, to scatter into the pair mask
     scatter = {fm: sum(1 << (m1 * y) for y in range(m1) if (fm >> y) & 1) for fm in options}
     counts = {
+        "raw": (d_hi - d_lo) * len(options) ** k,
         "valid": 0,
         "alt1": 0,
         "alt2": 0,
@@ -403,6 +430,7 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
 
     for d0 in range(d_lo, d_hi):
         descend(options[d0], 0)
+    counts["rejected"] = counts["raw"] - counts["valid"]
     return counts, []
 
 
@@ -414,28 +442,15 @@ def classify_hyperplane_fibers(
     alternatives: (1) W x V2 union V1 x H, (2) the zero set of a single
     bilinear form, (3) p >= 5 with the maximal W x V2 slab of codimension
     exactly 2.  A set fitting no alternative raises ClassificationError."""
-    t0 = time.perf_counter()
+    _check_sizes(p, n)
     k = _npoints(p, n)
-    n_options = 1 + _npoints(p, n)  # full plus one hyperplane per functional class
+    n_options = 1 + k  # full plus one hyperplane per functional class
     check_cap(n_options ** (k + 1), override_cap, "fiber-map enumeration")
-    parts = _map_ranges(_classify_digits, (p, n), n_options, jobs)
-    counts, witnesses = _merge(parts)
-    counts["raw"] = n_options ** (k + 1)
-    counts["rejected"] = counts["raw"] - counts["valid"]
-    classified = counts["alt1"] + counts["alt2"] + counts["alt3"]
-    ok = (
-        counts["leaf_rejected"] == 0
-        and classified == counts["valid"]
-        and (p >= 5 or (counts["alt3"] == 0 and counts["bilinear"] == counts["valid"]))
-    )
-    return SweepReport(
-        kind="classify_hyperplane_fibers",
-        parameters={"p": p, "n": n},
-        counts=counts,
-        witnesses=witnesses,
-        ok=ok,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(n_options, jobs),
+    return _sweep(
+        "classify_hyperplane_fibers", {"p": p, "n": n}, _classify_digits, (p, n), n_options, jobs,
+        lambda c: c["leaf_rejected"] == 0
+        and c["alt1"] + c["alt2"] + c["alt3"] == c["valid"]
+        and (p >= 5 or (c["alt3"] == 0 and c["bilinear"] == c["valid"])),
     )
 
 
@@ -484,7 +499,7 @@ def search_sigma(
     bilinearity.  Exhaustive mode ranks all k! permutations lexicographically;
     samples mode draws `samples` seeded permutations instead.  Projective
     sigma must never produce a non-bilinear set."""
-    t0 = time.perf_counter()
+    _check_sizes(p, n)
     k = _npoints(p, n)
     if mode == "exhaustive":
         total = math.factorial(k)
@@ -494,6 +509,8 @@ def search_sigma(
     elif mode == "samples":
         if samples is None or seed is None:
             raise ValueError("samples mode needs both a sample count and a seed")
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = SplitMix64(seed)
         drawn = []
         for _ in range(samples):
@@ -505,18 +522,8 @@ def search_sigma(
         parameters = {"p": p, "n": n, "mode": "samples", "samples": samples, "seed": seed}
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
-    parts = _map_ranges(_sigma_range, (p, n, tables), total, jobs)
-    counts, witnesses = _merge(parts, cap=16)
-    ok = counts["projective_non_bilinear"] == 0
-    return SweepReport(
-        kind="search_sigma",
-        parameters=parameters,
-        counts=counts,
-        witnesses=witnesses,
-        ok=ok,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(total, jobs),
-    )
+    return _sweep("search_sigma", parameters, _sigma_range, (p, n, tables), total, jobs,
+                  lambda c: c["projective_non_bilinear"] == 0, cap=16)
 
 
 # --------------------------------------------------------- collineation sweep
@@ -579,22 +586,11 @@ def verify_collineation_lemma(
 ) -> SweepReport:
     """Enumerate every total map between projective point sets and check that
     the ones satisfying the line condition are constant or injective."""
-    t0 = time.perf_counter()
-    kd = _npoints(p, n_dom)
-    kc = _npoints(p, n_cod)
-    total = kc**kd
+    _check_sizes(p, n_dom, n_cod)
+    total = _npoints(p, n_cod) ** _npoints(p, n_dom)
     check_cap(total, override_cap, "total-map enumeration")
-    parts = _map_ranges(_collineation_range, (p, n_dom, n_cod), total, jobs)
-    counts, witnesses = _merge(parts)
-    return SweepReport(
-        kind="verify_collineation_lemma",
-        parameters={"p": p, "n_dom": n_dom, "n_cod": n_cod},
-        counts=counts,
-        witnesses=witnesses,
-        ok=counts["violations"] == 0,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(total, jobs),
-    )
+    return _sweep("verify_collineation_lemma", {"p": p, "n_dom": n_dom, "n_cod": n_cod},
+                  _collineation_range, (p, n_dom, n_cod), total, jobs, _no_violations)
 
 
 # ---------------------------------------------------------- fundamental sweep
@@ -629,23 +625,13 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
     """Check, permutation by permutation, that line-preserving and projective
     coincide on P(F_p^n).  Needs dimension >= 3: on a projective line the
     line condition is vacuous and the equivalence genuinely fails."""
+    _check_sizes(p, n)
     if n < 3:
         raise ValueError("the line-preserving/projective equivalence needs n >= 3")
-    t0 = time.perf_counter()
-    k = _npoints(p, n)
-    total = math.factorial(k)
+    total = math.factorial(_npoints(p, n))
     check_cap(total, override_cap, "permutation sweep")
-    parts = _map_ranges(_fundamental_range, (p, n), total, jobs)
-    counts, witnesses = _merge(parts)
-    return SweepReport(
-        kind="fundamental_sweep",
-        parameters={"p": p, "n": n},
-        counts=counts,
-        witnesses=witnesses,
-        ok=counts["violations"] == 0,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(total, jobs),
-    )
+    return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_range, (p, n), total, jobs,
+                  _no_violations)
 
 
 # ----------------------------------------------------------------- xi sweep
@@ -694,21 +680,10 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
     hyperplane-fiber set with W = {0}: projective xi' must give bilinear
     sets, non-projective xi' must give trivial annihilator and a
     non-bilinear verdict."""
-    t0 = time.perf_counter()
-    k = _npoints(p, 2)
-    total = math.factorial(k)
+    _check_sizes(p)
+    total = math.factorial(_npoints(p, 2))
     check_cap(total, override_cap, "line-bijection sweep")
-    parts = _map_ranges(_xi_range, (p,), total, jobs)
-    counts, witnesses = _merge(parts)
-    return SweepReport(
-        kind="xi_line_sweep",
-        parameters={"p": p},
-        counts=counts,
-        witnesses=witnesses,
-        ok=counts["violations"] == 0,
-        wall_time=time.perf_counter() - t0,
-        workers=_worker_count(total, jobs),
-    )
+    return _sweep("xi_line_sweep", {"p": p}, _xi_range, (p,), total, jobs, _no_violations)
 
 
 # ------------------------------------------------- sumset / phi exploration

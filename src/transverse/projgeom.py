@@ -4,9 +4,9 @@ maps from an image table.
 The recognition routine implements the frame argument: a projective map is
 pinned down (up to scalar) by the images of the standard basis classes and
 of the all-ones class, and a candidate matrix built from those images either
-reproduces the whole table or the table is not projective.  Exhaustive
-counts over all bijections make the dimension >= 3 equivalence between
-"line-preserving" and "projective" checkable on desk-scale spaces.
+reproduces the whole table or the table is not projective.  With it the
+explorer's sweeps check the dimension >= 3 equivalence between
+"line-preserving" and "projective" over all bijections of desk-scale spaces.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from .constructions import ProjBijection
 from .fpcore import (
     MatP,
     ProjPoint,
@@ -190,25 +188,13 @@ def pgl_order(p: int, n: int) -> int:
     return gl_order(p, n) // (p - 1)
 
 
-def count_collineations(p: int, n: int, mode: str = "exhaustive") -> tuple[int, int]:
-    """(number of bijections of P(F_p^n), number of projective bijections).
-
-    Formula mode: (k!, |PGL(n, p)|) with k the point count.  Exhaustive mode
-    enumerates every bijection and counts those recognized projective; for
-    n >= 3 this is also the line-preserving count (and the fundamental-
-    theorem sweep checks that equivalence map by map)."""
+def count_collineations(p: int, n: int) -> tuple[int, int]:
+    """(k!, |PGL(n, p)|): the number of bijections of P(F_p^n), k its point
+    count, and the number of projective ones.  The sweeps count the latter
+    map by map: search_sigma's "projective" count, and fundamental_sweep for
+    n >= 3, where it is also the line-preserving count."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    pts = proj_enumerate(p, n)
-    k = len(pts)
-    total = math.factorial(k)
-    if mode == "formula":
-        return total, pgl_order(p, n)
-    if mode != "exhaustive":
-        raise ValueError(f"mode must be 'exhaustive' or 'formula', got {mode!r}")
-    check_cap(total, what="bijection enumeration")
-    n_proj = 0
-    for images in permutations(pts):
-        if recognize_projective(ProjBijection(p, n, n, images)) is not None:
-            n_proj += 1
-    return total, n_proj
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    return math.factorial((p**n - 1) // (p - 1)), pgl_order(p, n)

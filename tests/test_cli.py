@@ -115,7 +115,7 @@ def test_cli_verify_and_replay(tmp_path):
     assert run(["replay", "--cert", cert]) == 1
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
         fh.write("{}")
@@ -125,6 +125,17 @@ def test_cli_usage_errors(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 2  # no seed
     assert run(["bogus"]) == 2
     assert run(["verify", "exhaustive", "--p", "3", "--n", "2"]) == 2  # over cap
+    assert "use --override-cap" in capsys.readouterr().err
+    # sizes a sweep cannot run at: a message, not a traceback
+    for argv, message in [
+        (["verify", "exhaustive", "--n", "-1"], "dimensions must be at least 1"),
+        (["verify", "exhaustive", "--p", "4"], "p must be prime"),
+        (["verify", "collineation", "--n", "0"], "dimensions must be at least 1"),
+        (["verify", "sigma-search", "--mode", "samples", "--samples", "-1", "--seed", "1"],
+         "samples must be at least 1"),
+    ]:
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_seeded_constructions(tmp_path):
@@ -259,6 +270,31 @@ def test_replay_honours_override_cap(monkeypatch, tmp_path, capsys):
     assert "enumeration cap" in capsys.readouterr().err
 
 
+def test_override_cap_lifts_the_powerset_limit(monkeypatch):
+    # the advice printed with a CapExceeded is true for the powerset sweep too;
+    # a stub stands in for the (3,2) sweep and runs the (2,1) one
+    seen = []
+    real = cli.explorer.exhaustive_subset_sweep
+
+    def stub(p, n, jobs, override_cap):
+        seen.append(override_cap)
+        return real(2, 1, jobs=1)
+
+    monkeypatch.setattr(cli.explorer, "exhaustive_subset_sweep", stub)
+    assert run(["--override-cap", "verify", "exhaustive", "--p", "3", "--n", "2"]) == 0
+    assert seen == [True]
+
+
+def test_parser_is_built_once_and_parses_afresh():
+    assert cli._build_parser() is cli._build_parser()
+    one = cli._build_parser().parse_args(["verify", "exhaustive", "--p", "3"])
+    two = cli._build_parser().parse_args(["check", "bilinear", "--set", "s.json"])
+    three = cli._build_parser().parse_args(["verify", "f3"])
+    assert (one.what, one.p, one.n) == ("exhaustive", 3, None)
+    assert (two.command, two.what, two.set, two.cert) == ("check", "bilinear", "s.json", None)
+    assert (three.what, three.p, three.cert) == ("f3", None, None)
+
+
 @pytest.mark.parametrize("parameters,message", [
     ({"sweep": "exhaustive_subset_sweep"}, "missing field 'p'"),
     ({"sweep": "exhaustive_subset_sweep", "p": "5", "n": 1}, "'p' has the wrong type"),
@@ -270,6 +306,10 @@ def test_replay_honours_override_cap(monkeypatch, tmp_path, capsys):
     ({"sweep": "no_such_sweep"}, "unknown sweep"),
     ({"sweep": ["counting"]}, "'sweep' has the wrong type"),
     ({}, "missing field 'sweep'"),
+    ({"sweep": "exhaustive_subset_sweep", "p": 2, "n": 0}, "dimensions must be at least 1"),
+    ({"sweep": "verify_collineation_lemma", "p": 4, "n_dom": 2, "n_cod": 2}, "p must be prime"),
+    ({"sweep": "search_sigma", "p": 2, "n": 3, "mode": "samples", "samples": 0, "seed": 1},
+     "samples must be at least 1"),
 ])
 def test_malformed_sweep_certificate_is_a_usage_error(parameters, message, tmp_path, capsys):
     cert = _write_cert(str(tmp_path / "c.json"), "sweep_report", parameters, {})

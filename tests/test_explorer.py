@@ -1,6 +1,7 @@
 """Sweeps: exhaustive subset enumeration, fiber-map classification, bijection
 searches, and the deterministic parallel engine."""
 
+import inspect
 from concurrent.futures import Future
 
 import pytest
@@ -65,9 +66,51 @@ def test_exhaustive_sweep_p2_n2():
     }
 
 
-def test_exhaustive_sweep_cap():
+def test_exhaustive_sweep_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         exhaustive_subset_sweep(3, 2)
+    # override_cap lifts the powerset limit: the sweep reaches the engine,
+    # stubbed here so that none of the 2^81 subsets is visited
+    calls = []
+
+    def stub(worker, args, total, jobs):
+        calls.append((worker, args, total, jobs))
+        return [({"transverse_non_bilinear": 0, "oracle_mismatch": 0}, [])]
+
+    monkeypatch.setattr(explorer, "_map_ranges", stub)
+    report = exhaustive_subset_sweep(3, 2, jobs=2, override_cap=True)
+    assert calls == [(explorer._subset_range, (3, 2), 1 << 81, 2)]
+    assert report.ok and report.parameters == {"p": 3, "n": 2}
+
+
+SWEEPS = (exhaustive_subset_sweep, classify_hyperplane_fibers, search_sigma,
+          verify_collineation_lemma, fundamental_sweep, xi_line_sweep)
+
+
+def test_every_sweep_takes_jobs_and_override_cap():
+    for sweep in SWEEPS:
+        params = inspect.signature(sweep).parameters
+        assert params["jobs"].default == 1, sweep.__name__
+        assert params["override_cap"].default is False, sweep.__name__
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exhaustive_subset_sweep(2, 0),
+    lambda: exhaustive_subset_sweep(4, 5),  # not prime, and far over the cap
+    lambda: classify_hyperplane_fibers(2, -1),
+    lambda: classify_hyperplane_fibers(9, 4),
+    lambda: search_sigma(2, 0),
+    lambda: search_sigma(2, 3, mode="samples", samples=0, seed=1),
+    lambda: search_sigma(2, 3, mode="samples", samples=-1, seed=1),
+    lambda: verify_collineation_lemma(2, 3, 0),
+    lambda: verify_collineation_lemma(6, 9, 9),
+    lambda: fundamental_sweep(1, 3),
+    lambda: xi_line_sweep(4),
+])
+def test_bad_sizes_are_value_errors_before_the_cap(call, monkeypatch):
+    monkeypatch.setattr(explorer, "_map_ranges", None)  # nothing may run
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_classification_p2_n2():

@@ -2,6 +2,7 @@
 
 from transverse.constructions import ProjBijection, sigma_fig2
 from transverse.detrng import SplitMix64
+from transverse.explorer import search_sigma
 from transverse.fpcore import MatP, ProjPoint, VecP, proj_enumerate, rref
 from transverse.projgeom import (
     count_collineations,
@@ -92,10 +93,8 @@ def test_line_structure_consistency():
 
 
 def test_count_collineations_small():
-    total, projective = count_collineations(2, 2)
-    assert (total, projective) == (6, 6)
-    total, projective = count_collineations(2, 3, mode="formula")
-    assert (total, projective) == (5040, 168)
+    assert count_collineations(2, 2) == (6, 6)
+    assert count_collineations(2, 3) == (5040, 168)
 
 
 def test_group_orders():
@@ -108,6 +107,6 @@ def test_group_orders():
 
 def test_projective_count_matches_pgl():
     # exhaustively recognized projective permutations match the group order
-    total, projective = count_collineations(3, 2)
-    assert total == 24  # 4! permutations of the 4 points
-    assert projective == pgl_order(3, 2)
+    assert search_sigma(2, 2).counts["projective"] == 6
+    assert search_sigma(3, 2).counts["candidates"] == 24  # 4! permutations of the 4 points
+    assert search_sigma(3, 2).counts["projective"] == pgl_order(3, 2) == 24

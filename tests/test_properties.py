@@ -65,8 +65,8 @@ def family_closure(cases, seed=102):
 
 def family_span_closure(cases, seed=106):
     """The closure decided through S(A) equals orth(ann(A)) over the spans
-    W1 x W2, and r3 = dim W1 * dim W2 - dim S(A) is the dimension of that
-    annihilator."""
+    W1 x W2, r3 = dim W1 * dim W2 - dim S(A) is the dimension of that
+    annihilator, and the annihilator read off S(A) is ann(A, W1, W2)."""
     rng = SplitMix64(seed)
     shapes = SHAPES + ((5, 2),)
     for k in range(cases):
@@ -79,6 +79,7 @@ def family_span_closure(cases, seed=106):
         m = ann(a, c.w1, c.w2)
         assert c.closed == orth(m, c.w1, c.w2)
         assert is_bilinear(a).r3 == m.dim
+        assert is_bilinear(a).ann == m
     return cases
 
 
