@@ -9,9 +9,17 @@ joint zero set of its annihilator over the spans W1, W2 of the projections.
 A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
-dim W2 - dim S(A).  closure and is_bilinear decide from one incremental RREF
-basis of S(A) per set, built from a cached table of flattened outer
-products; the basis is canonical, so it also keys the zero-set table.  The
+dim W2 - dim S(A).  closure and is_bilinear read A once, through its
+horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of the fibers,
+pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
+x (x) y = lam * (x (x) rep_c), so
+
+    S(A) = sum over the projective classes c of F_p^{n2} of span(U_c) (x) rep_c,
+
+with U_c the union of the fibers over the members of c.  S(A) therefore
+depends only on the span masks of the U_c, and its canonical RREF basis is
+cached on (p, n1, n2, tuple of those masks); the closure is cached on the
+span masks of pi1 and pi2 plus that tuple.  Every key is made of ints.  The
 annihilator itself is certificate content only: the ``ann`` attribute of a
 result is the kernel of S(A) in the coordinates of W1 and W2, computed from
 (W1, W2, S(A)) when read.  ann and orth stay public and are the reference
@@ -29,15 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .fpcore import MatP, Subspace, VecP, decode, is_prime, rref, rref_kernel
-from .pairsets import (
-    PairSet,
-    SingleSet,
-    _iter_bits,
-    mask_to_subspace,
-    projections,
-    subspace_mask,
-)
+from .fpcore import MatP, Subspace, VecP, decode, is_prime, rref, rref_kernel, vspace
+from .pairsets import PairSet, _fiber_read, _iter_bits, _span_mask, mask_to_subspace
 
 __all__ = [
     "BilinearForm",
@@ -216,15 +217,6 @@ def orth(m: FormSpace, w1: Subspace, w2: Subspace) -> PairSet:
 
 
 @lru_cache(maxsize=None)
-def _outer_table(p: int, n1: int, n2: int) -> tuple:
-    """Flattened outer product x (x) y (entry i*n2 + j is x_i y_j) of every
-    pair, indexed by the pair index x_index + p**n1 * y_index."""
-    xs = [decode(i, p, n1) for i in range(p**n1)]
-    ys = [decode(i, p, n2) for i in range(p**n2)]
-    return tuple(tuple(a * b % p for a in x for b in y) for y in ys for x in xs)
-
-
-@lru_cache(maxsize=None)
 def _kernel_masks(p: int, n: int) -> tuple:
     """Bit mask of {x in F_p^n : u . x = 0} for every functional u, indexed
     by the encoded index of u."""
@@ -235,38 +227,18 @@ def _kernel_masks(p: int, n: int) -> tuple:
     )
 
 
-def _span_basis(a: PairSet, bound: int) -> tuple:
-    """Canonical RREF basis of S(A) = span{x (x) y : (x, y) in A}.
-
-    Each distinct outer product is reduced against the basis built so far
-    and, when something is left, normalized and eliminated from the other
-    rows.  S(A) lies in W1 (x) W2, so the loop stops once the basis reaches
-    ``bound`` = dim W1 * dim W2.
-    """
-    p = a.p
-    table = _outer_table(p, a.n1, a.n2)
-    basis: list = []
-    pivots: list = []
-    for row in {table[i] for i in _iter_bits(a.indicator)}:
-        for b, j in zip(basis, pivots):
-            lam = row[j]
-            if lam:
-                row = [(c - lam * bc) % p for c, bc in zip(row, b)]
-        j = next((k for k, c in enumerate(row) if c), None)
-        if j is None:
-            continue
-        if row[j] != 1:
-            inv = pow(row[j], p - 2, p)
-            row = [c * inv % p for c in row]
-        for i, b in enumerate(basis):
-            lam = b[j]
-            if lam:
-                basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
-        basis.append(row)
-        pivots.append(j)
-        if len(basis) == bound:
-            break
-    return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
+@lru_cache(maxsize=4096)
+def _fiber_span(p: int, n1: int, n2: int, spans: tuple) -> tuple:
+    """Canonical RREF basis of S(A) = span{x (x) y : (x, y) in A}, from the
+    span masks of the per-class fiber unions U_c.  For y = lam * rep_c,
+    x (x) y = lam * (x (x) rep_c), so S(A) is the sum over the classes of
+    span(U_c) (x) rep_c: only the basis rows of each span(U_c), times rep_c,
+    are eliminated."""
+    sp2 = vspace(p, n2)
+    rows = [[a * b for a in x for b in sp2.coords[rep]]
+            for s, rep in zip(spans, sp2.proj_reps) if s
+            for x in mask_to_subspace(p, n1, s).basis]
+    return tuple(map(tuple, rref(rows, p)[0]))
 
 
 def _check_forms(p: int, n1: int, n2: int, span: tuple) -> list:
@@ -306,19 +278,19 @@ def _form_zero_mask(p: int, n1: int, n2: int, flat: tuple) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _span_closure(w1: Subspace, w2: Subspace, span: tuple) -> int:
-    """Indicator of {(x, y) in W1 x W2 : x (x) y in S}, for S given by its
-    RREF basis: W1 x W2 intersected with the zero sets of the check forms
-    of S."""
-    p, n1, n2 = w1.p, w1.ambient, w2.ambient
-    x_mask = subspace_mask(w1)
+def _span_closure(p: int, n1: int, n2: int, w1: int, w2: int, spans: tuple) -> ClosureResult:
+    """Closure over the spans W1, W2 (given as bitsets) and S(A) (given by
+    its per-class fiber spans): W1 x W2 intersected with the zero sets of
+    the check forms of S(A)."""
+    span = _fiber_span(p, n1, n2, spans)
     m1 = p**n1
     out = 0
-    for y in _iter_bits(subspace_mask(w2)):
-        out |= x_mask << (m1 * y)
+    for y in _iter_bits(w2):
+        out |= w1 << (m1 * y)
     for h in _check_forms(p, n1, n2, span):
         out &= _form_zero_mask(p, n1, n2, h)
-    return out
+    return ClosureResult(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
+                         PairSet(p, n1, n2, out))
 
 
 @lru_cache(maxsize=4096)
@@ -354,12 +326,16 @@ class ClosureResult:
         return _span_ann(self.w1, self.w2, self.span)
 
 
-def _closure(a: PairSet, pi1: SingleSet, pi2: SingleSet) -> ClosureResult:
-    w1 = mask_to_subspace(a.p, a.n1, pi1.indicator)
-    w2 = mask_to_subspace(a.p, a.n2, pi2.indicator)
-    span = _span_basis(a, w1.dim * w2.dim)
-    closed = PairSet(a.p, a.n1, a.n2, _span_closure(w1, w2, span))
-    return ClosureResult(w1, w2, span, closed)
+def _read(a: PairSet) -> tuple:
+    """One fiber read of A: the bitsets of its projections, of their spans
+    W1 and W2, and the closure, looked up by (W1, W2, per-class fiber
+    spans)."""
+    p, n1, n2 = a.p, a.n1, a.n2
+    pi1, pi2, unions = _fiber_read(a)
+    w1 = _span_mask(p, n1, pi1)
+    w2 = _span_mask(p, n2, pi2)
+    spans = tuple(_span_mask(p, n1, u) for u in unions)
+    return pi1, pi2, w1, w2, _span_closure(p, n1, n2, w1, w2, spans)
 
 
 def closure(a: PairSet) -> ClosureResult:
@@ -370,7 +346,7 @@ def closure(a: PairSet) -> ClosureResult:
     contains (0,0)) and idempotent; A is bilinear iff it equals its closure
     and its projections are subspaces.
     """
-    return _closure(a, *projections(a))
+    return _read(a)[-1]
 
 
 @dataclass(frozen=True)
@@ -419,15 +395,14 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
     A, so the decision reduces to: both projections are subspaces and A
     equals its bilinear closure.  The empty set gets its own status.
     """
-    pi1, pi2 = projections(a)
-    res = _closure(a, pi1, pi2)
+    pi1, pi2, w1, w2, res = _read(a)
     fields = (res.w1, res.w2, res.span, res.closed)
     if not a.indicator:
         return BilinearVerdict("empty", *fields, None, None)
     axis = None
-    if pi1.indicator != subspace_mask(res.w1):
+    if pi1 != w1:
         axis = "first"
-    elif pi2.indicator != subspace_mask(res.w2):
+    elif pi2 != w2:
         axis = "second"
     extra = res.closed.indicator & ~a.indicator
     if a.indicator & ~res.closed.indicator:

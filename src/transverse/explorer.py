@@ -38,6 +38,7 @@ from .fpcore import (
     CapExceeded,
     Subspace,
     all_subspaces,
+    capped_factorial,
     check_cap,
     decode,
     is_prime,
@@ -502,8 +503,7 @@ def search_sigma(
     _check_sizes(p, n)
     k = _npoints(p, n)
     if mode == "exhaustive":
-        total = math.factorial(k)
-        check_cap(total, override_cap, "permutation sweep")
+        total = capped_factorial(k, override_cap, "permutation sweep")
         tables = None
         parameters = {"p": p, "n": n, "mode": "exhaustive"}
     elif mode == "samples":
@@ -628,8 +628,7 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
     _check_sizes(p, n)
     if n < 3:
         raise ValueError("the line-preserving/projective equivalence needs n >= 3")
-    total = math.factorial(_npoints(p, n))
-    check_cap(total, override_cap, "permutation sweep")
+    total = capped_factorial(_npoints(p, n), override_cap, "permutation sweep")
     return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_range, (p, n), total, jobs,
                   _no_violations)
 
@@ -681,8 +680,7 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
     sets, non-projective xi' must give trivial annihilator and a
     non-bilinear verdict."""
     _check_sizes(p)
-    total = math.factorial(_npoints(p, 2))
-    check_cap(total, override_cap, "line-bijection sweep")
+    total = capped_factorial(_npoints(p, 2), override_cap, "line-bijection sweep")
     return _sweep("xi_line_sweep", {"p": p}, _xi_range, (p,), total, jobs, _no_violations)
 
 

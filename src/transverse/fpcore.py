@@ -12,6 +12,7 @@ makes structural equality meaningful and serialization canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -19,12 +20,12 @@ from itertools import product
 __all__ = [
     "CapExceeded",
     "DEFAULT_ENUMERATION_CAP",
-    "FieldSpec",
     "MatP",
     "ProjPoint",
     "Subspace",
     "VecP",
     "all_subspaces",
+    "capped_factorial",
     "check_cap",
     "complement",
     "decode",
@@ -48,11 +49,31 @@ class CapExceeded(RuntimeError):
 
 
 def check_cap(count: int, override: bool = False, what: str = "enumeration") -> None:
+    """CapExceeded when count passes the cap.  A count of more than 64 bits
+    is shown by its bit length: Python refuses to convert an int of more
+    than 4,300 digits to a string."""
     if count > DEFAULT_ENUMERATION_CAP and not override:
-        raise CapExceeded(
-            f"{what} would materialize {count} objects "
-            f"(cap {DEFAULT_ENUMERATION_CAP}); pass override_cap=True to force"
-        )
+        shown = str(count) if count.bit_length() <= 64 else f"at least 2**{count.bit_length() - 1}"
+        _refuse(what, shown)
+
+
+def capped_factorial(k: int, override: bool = False, what: str = "enumeration") -> int:
+    """k!, or CapExceeded when it passes the cap.  The refusal multiplies
+    only until the product passes the cap, so a huge k! is never built."""
+    if not override:
+        partial = 1
+        for i in range(2, k + 1):
+            partial *= i
+            if partial > DEFAULT_ENUMERATION_CAP:
+                _refuse(what, f"{k}!")
+    return math.factorial(k)
+
+
+def _refuse(what: str, shown: str) -> None:
+    raise CapExceeded(
+        f"{what} would materialize {shown} objects "
+        f"(cap {DEFAULT_ENUMERATION_CAP}); pass override_cap=True to force"
+    )
 
 
 def is_prime(p: int) -> bool:
@@ -70,23 +91,6 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field F_p together with an ambient dimension."""
-
-    p: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if self.n < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.n}")
-
-    @property
-    def size(self) -> int:
-        return self.p**self.n
 
 
 def encode(coords, p: int) -> int:
@@ -211,26 +215,23 @@ def rref(rows, p: int):
     where basis is a list of nonzero reduced rows (pivot entries 1, zeros
     above and below each pivot) and pivots the matching pivot column list.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for row in work:
-        row = [c % p for c in row]
+    for r in rows:
+        row = [c % p for c in r]
         for b, j in zip(basis, pivots):
-            if row[j]:
-                lam = row[j]
+            lam = row[j]
+            if lam:
                 row = [(c - lam * bc) % p for c, bc in zip(row, b)]
         j = next((k for k, c in enumerate(row) if c), None)
         if j is None:
             continue
-        inv = pow(row[j], p - 2, p)
-        row = [c * inv % p for c in row]
-        for i, (b, jb) in enumerate(zip(basis, pivots)):
-            if b[j]:
-                lam = b[j]
+        if row[j] != 1:
+            inv = pow(row[j], p - 2, p)
+            row = [c * inv % p for c in row]
+        for i, b in enumerate(basis):
+            lam = b[j]
+            if lam:
                 basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
         basis.append(row)
         pivots.append(j)

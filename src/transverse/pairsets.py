@@ -38,7 +38,6 @@ __all__ = [
     "fiber",
     "from_fiber_map",
     "is_transverse",
-    "mask_is_subspace",
     "mask_to_subspace",
     "phi",
     "projections",
@@ -164,18 +163,10 @@ def mask_to_subspace(p: int, n: int, mask: int) -> Subspace:
     return span([decode(i, p, n) for i in _iter_bits(mask)], p, n)
 
 
-def mask_is_subspace(p: int, n: int, mask: int) -> bool:
-    """True when the bitset is exactly a linear subspace (nonempty)."""
-    if not mask & 1:
-        return False
-    space = vspace(p, n)
-    bits = list(_iter_bits(mask))
-    for i in bits:
-        row = space.add[i]
-        for j in bits:
-            if not mask >> row[j] & 1:
-                return False
-    return True
+@lru_cache(maxsize=65536)
+def _span_mask(p: int, n: int, mask: int) -> int:
+    """Bitset of the span of the vectors in a bitset."""
+    return subspace_mask(mask_to_subspace(p, n, mask))
 
 
 @dataclass(frozen=True)
@@ -330,14 +321,27 @@ def fiber(a: PairSet, direction: str, at: int) -> SingleSet:
     raise ValueError(f"direction must be 'V' or 'H', got {direction!r}")
 
 
+def _fiber_read(a: PairSet) -> tuple[int, int, list[int]]:
+    """One pass over the horizontal fibers A^y = {x : (x, y) in A}: the
+    bitsets of the two projections (pi1 is the union of the fibers, pi2 the
+    y with a nonempty fiber) and, per projective class c of the second
+    factor, the union U_c of the fibers over the members of c."""
+    sp2 = vspace(a.p, a.n2)
+    class_of = sp2.class_of
+    pi1 = pi2 = 0
+    unions = [0] * len(sp2.proj_reps)
+    for y, f in enumerate(a.horizontal_fibers()):
+        if f:
+            pi1 |= f
+            pi2 |= 1 << y
+            if y:
+                unions[class_of[y]] |= f
+    return pi1, pi2, unions
+
+
 def projections(a: PairSet) -> tuple[SingleSet, SingleSet]:
     """Images of A under the two coordinate projections."""
-    m1 = a.p**a.n1
-    pi1 = 0
-    pi2 = 0
-    for i in _iter_bits(a.indicator):
-        pi1 |= 1 << i % m1
-        pi2 |= 1 << i // m1
+    pi1, pi2, _ = _fiber_read(a)
     return SingleSet(a.p, a.n1, pi1), SingleSet(a.p, a.n2, pi2)
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from transverse.bilinear import (
     BilinearForm,
+    _fiber_span,
+    _span_closure,
     FormSpace,
     ann,
     closure,
@@ -13,7 +15,7 @@ from transverse.bilinear import (
 )
 from transverse.constructions import build_P_sigma, f3_example, sigma_fig2
 from transverse.detrng import SplitMix64
-from transverse.fpcore import Subspace, VecP
+from transverse.fpcore import Subspace, VecP, encode
 from transverse.pairsets import PairSet
 
 
@@ -158,3 +160,39 @@ def test_ann_respects_reference_subspaces():
     assert ann(a).basis == c.ann.basis
     with pytest.raises(ValueError):
         ann(a, Subspace.full(2, 2), Subspace.full(2, 3))
+
+
+def test_span_cache_is_keyed_by_per_class_fiber_spans():
+    # over F_3 the classes of F_3^2 are {y, 2y}; S(A) only sees the span of
+    # A^y together with A^{2y}, so swapping the two fibers, or replacing them
+    # by other fibers with the same span, keeps the cache key
+    y = encode((1, 0), 3)
+    y2 = encode((2, 0), 3)
+    e1, e2, e12 = encode((1, 0), 3), encode((0, 1), 3), encode((1, 1), 3)
+    a = PairSet.from_pairs(3, 2, 2, [(e1, y), (e2, y2)])
+    swapped = PairSet.from_pairs(3, 2, 2, [(e2, y), (e1, y2)])
+    respanned = PairSet.from_pairs(3, 2, 2, [(e12, y), (e1, y2)])
+    _fiber_span.cache_clear()
+    _span_closure.cache_clear()
+    results = [closure(s) for s in (a, swapped, respanned)]
+    info = _span_closure.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert _fiber_span.cache_info().misses == 1
+    assert results[0].span == results[1].span == results[2].span
+    assert len(results[0].span) == 2  # e1 (x) y and e2 (x) y
+
+
+def test_verdicts_do_not_depend_on_the_cache():
+    rng = SplitMix64(33)
+    sets = [f3_example(), build_P_sigma(sigma_fig2()), PairSet.empty(3, 2, 2)]
+    for _ in range(40):
+        mask = 0
+        for _ in range(rng.below(12) + 1):
+            mask |= 1 << rng.below(81)
+        sets.append(PairSet(3, 2, 2, mask))
+    _fiber_span.cache_clear()
+    _span_closure.cache_clear()
+    cold = [is_bilinear(a) for a in sets]
+    warm = [is_bilinear(a) for a in sets]
+    assert cold == warm
+    assert _span_closure.cache_info().hits >= len(sets)

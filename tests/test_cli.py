@@ -3,6 +3,7 @@
 import json
 import os
 import shlex
+import time
 
 import pytest
 
@@ -369,3 +370,19 @@ def test_readme_command_lines_parse():
     for args in parsed:
         if args.command == "verify":
             cli._verify_entry(args)  # every flag is one its target reads
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "collineation", "--p", "2", "--n", "12"],
+    ["verify", "sigma-search", "--p", "2", "--n", "14"],
+    ["verify", "sigma-search", "--p", "2", "--n", "20"],
+    ["verify", "fundamental", "--p", "2", "--n", "20"],
+    ["verify", "classification", "--mode", "xi", "--p", "997"],
+])
+def test_huge_counts_get_the_cap_advice_at_once(argv, capsys):
+    # counts past 4,300 digits cannot be printed, and building 1048575! takes
+    # seconds: the cap is decided without either
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "use --override-cap" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from transverse.fpcore import (
     Subspace,
     VecP,
     all_subspaces,
+    capped_factorial,
     check_cap,
     complement,
     decode,
@@ -163,6 +164,26 @@ def test_cap_guard():
         check_cap(10**9)
     check_cap(10**9, override=True)
     check_cap(10)
+
+
+def test_cap_message_on_huge_counts():
+    with pytest.raises(CapExceeded, match=r"would materialize 1000000000 objects"):
+        check_cap(10**9)
+    # 2**20000 has 6,021 digits, past what str() of an int accepts
+    with pytest.raises(CapExceeded, match=r"at least 2\*\*20000 objects"):
+        check_cap(1 << 20000)
+
+
+def test_capped_factorial():
+    assert capped_factorial(7) == 5040
+    assert capped_factorial(0) == 1
+    # the same boundary as check_cap(k!): 11! is under the cap of 2**26, 12! is not
+    assert capped_factorial(11) == 39916800
+    with pytest.raises(CapExceeded, match=r"12! objects"):
+        capped_factorial(12)
+    with pytest.raises(CapExceeded, match=r"1048575! objects"):
+        capped_factorial(2**20 - 1, what="permutation sweep")
+    assert capped_factorial(13, override=True) == 6227020800
 
 
 def test_rref_idempotent():

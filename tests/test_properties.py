@@ -1,5 +1,6 @@
 """Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
-(the span_closure and form_zero_mask families add (5,2)).
+(the span_closure and form_zero_mask families add (5,2); the fiber_oracle
+family adds (5,2) and the non-square shapes (2,1,3), (3,3,2) and (7,1,2)).
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -7,12 +8,13 @@ suite is also callable as run_suite() which reports (cases, seconds).
 """
 
 import time
+from functools import lru_cache
 
-from transverse.bilinear import _form_zero_mask, _outer_table, ann, closure, is_bilinear, orth
+from transverse.bilinear import _form_zero_mask, ann, closure, is_bilinear, orth
 from transverse.constructions import build_P_sigma, random_sigma
 from transverse.detrng import SplitMix64
-from transverse.fpcore import Subspace
-from transverse.pairsets import PairSet, dir_sum, is_transverse, phi
+from transverse.fpcore import Subspace, decode, span
+from transverse.pairsets import PairSet, _iter_bits, dir_sum, is_transverse, phi, projections
 
 SHAPES = ((2, 2), (3, 2), (2, 3))
 
@@ -24,7 +26,91 @@ COUNTS = {
     "agreement": 2600,
     "phi_fixpoint": 1500,
     "dir_sum_symmetry": 1600,
+    "fiber_oracle": 1400,
 }
+
+
+# ------------------------------------- per-pair reference of the fiber read
+
+
+@lru_cache(maxsize=None)
+def _outer_table(p, n1, n2):
+    """Flattened outer product x (x) y (entry i*n2 + j is x_i y_j) of every
+    pair, indexed by the pair index x_index + p**n1 * y_index."""
+    xs = [decode(i, p, n1) for i in range(p**n1)]
+    ys = [decode(i, p, n2) for i in range(p**n2)]
+    return tuple(tuple(a * b % p for a in x for b in y) for y in ys for x in xs)
+
+
+def reference_projections(a):
+    """The projections, bit by bit over the members of A."""
+    m1 = a.p**a.n1
+    pi1 = 0
+    pi2 = 0
+    for i in _iter_bits(a.indicator):
+        pi1 |= 1 << i % m1
+        pi2 |= 1 << i // m1
+    return pi1, pi2
+
+
+def reference_span_basis(a, bound):
+    """Canonical RREF basis of S(A) = span{x (x) y : (x, y) in A}, pair by pair.
+
+    Each distinct outer product is reduced against the basis built so far
+    and, when something is left, normalized and eliminated from the other
+    rows.  S(A) lies in W1 (x) W2, so the loop stops once the basis reaches
+    ``bound`` = dim W1 * dim W2.
+    """
+    p = a.p
+    table = _outer_table(p, a.n1, a.n2)
+    basis = []
+    pivots = []
+    for row in {table[i] for i in _iter_bits(a.indicator)}:
+        for b, j in zip(basis, pivots):
+            lam = row[j]
+            if lam:
+                row = [(c - lam * bc) % p for c, bc in zip(row, b)]
+        j = next((k for k, c in enumerate(row) if c), None)
+        if j is None:
+            continue
+        if row[j] != 1:
+            inv = pow(row[j], p - 2, p)
+            row = [c * inv % p for c in row]
+        for i, b in enumerate(basis):
+            lam = b[j]
+            if lam:
+                basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
+        basis.append(row)
+        pivots.append(j)
+        if len(basis) == bound:
+            break
+    return tuple(tuple(b) for _, b in sorted(zip(pivots, basis)))
+
+
+def reference_verdict(a):
+    """(status, w1, w2, span, closed, witness, non_subspace_axis) decided
+    pair by pair: spans of the per-bit projections, S(A) from every outer
+    product, and the closure as orth(ann(A)) over the spans."""
+    p, n1, n2 = a.p, a.n1, a.n2
+    pi1, pi2 = reference_projections(a)
+    w1 = span([decode(i, p, n1) for i in _iter_bits(pi1)], p, n1)
+    w2 = span([decode(i, p, n2) for i in _iter_bits(pi2)], p, n2)
+    basis = reference_span_basis(a, w1.dim * w2.dim)
+    closed = orth(ann(a, w1, w2), w1, w2)
+    if not a.indicator:
+        return "empty", w1, w2, basis, closed, None, None
+    axis = None
+    if pi1 != sum(1 << i for i in w1.element_indices()):
+        axis = "first"
+    elif pi2 != sum(1 << i for i in w2.element_indices()):
+        axis = "second"
+    extra = closed.indicator & ~a.indicator
+    witness = None
+    if extra:
+        i = (extra & -extra).bit_length() - 1
+        witness = (i % p**n1, i // p**n1)
+    status = "bilinear" if axis is None and not extra else "non_bilinear"
+    return status, w1, w2, basis, closed, witness, axis
 
 
 def random_pairset(rng, p, n, max_points):
@@ -80,6 +166,38 @@ def family_span_closure(cases, seed=106):
         assert c.closed == orth(m, c.w1, c.w2)
         assert is_bilinear(a).r3 == m.dim
         assert is_bilinear(a).ann == m
+    return cases
+
+
+def family_fiber_oracle(cases, seed=108):
+    """is_bilinear, closure and projections, read off the horizontal fibers,
+    agree field by field with the pair-by-pair reference, on random sets,
+    the empty set, {(0,0)}, sets on the y = 0 fiber alone and span sets."""
+    rng = SplitMix64(seed)
+    shapes = tuple((p, n, n) for p, n in SHAPES + ((5, 2),)) + ((2, 1, 3), (3, 3, 2), (7, 1, 2))
+    for k in range(cases):
+        p, n1, n2 = shapes[k % len(shapes)]
+        total = p ** (n1 + n2)
+        roll = rng.below(8)
+        mask = 0
+        if roll == 1:
+            mask = 1
+        elif roll == 2:
+            for _ in range(rng.below(4) + 1):
+                mask |= 1 << rng.below(p**n1)
+        elif roll == 3 and n1 == n2:
+            mask = build_P_sigma(random_sigma(p, n1, seed=rng.below(1 << 30))).indicator
+        elif roll >= 3:
+            for _ in range(rng.below(16 if roll < 7 else total) + 1):
+                mask |= 1 << rng.below(total)
+        a = PairSet(p, n1, n2, mask)
+        ref = reference_verdict(a)
+        v = is_bilinear(a)
+        assert (v.status, v.w1, v.w2, v.span, v.closed, v.witness, v.non_subspace_axis) == ref
+        c = closure(a)
+        assert (c.w1, c.w2, c.span, c.closed) == ref[1:5]
+        pi1, pi2 = projections(a)
+        assert (pi1.indicator, pi2.indicator) == reference_projections(a)
     return cases
 
 
@@ -156,6 +274,7 @@ FAMILIES = {
     "agreement": family_agreement,
     "phi_fixpoint": family_phi_fixpoint,
     "dir_sum_symmetry": family_dir_sum_symmetry,
+    "fiber_oracle": family_fiber_oracle,
 }
 
 
@@ -180,6 +299,10 @@ def test_family_span_closure():
 
 def test_family_form_zero_mask():
     assert family_form_zero_mask(COUNTS["form_zero_mask"]) == COUNTS["form_zero_mask"]
+
+
+def test_family_fiber_oracle():
+    assert family_fiber_oracle(COUNTS["fiber_oracle"]) == COUNTS["fiber_oracle"]
 
 
 def test_family_agreement():
