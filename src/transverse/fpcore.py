@@ -214,7 +214,14 @@ def rref(rows, p: int):
     Takes an iterable of coordinate sequences, returns ``(basis, pivots)``
     where basis is a list of nonzero reduced rows (pivot entries 1, zeros
     above and below each pivot) and pivots the matching pivot column list.
+
+    At p = 2 each row is packed into an int (column j at bit j) and
+    eliminated by XOR, the word-level technique of M4RI; the pivot of a
+    packed row is its lowest set bit.  Odd p eliminates on lists.  Both
+    paths return the same canonical form.
     """
+    if p == 2:
+        return _rref_gf2(rows)
     basis: list[list[int]] = []
     pivots: list[int] = []
     for r in rows:
@@ -237,6 +244,31 @@ def rref(rows, p: int):
         pivots.append(j)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order], sorted(pivots)
+
+
+def _rref_gf2(rows):
+    """rref over F_2 on packed rows: reduce each row against the basis,
+    then clear its pivot bit from the earlier rows."""
+    basis: dict[int, int] = {}  # pivot column -> packed row
+    ncols = 0
+    for r in rows:
+        ncols = len(r)
+        v = 0
+        for j, c in enumerate(r):
+            if c & 1:
+                v |= 1 << j
+        for j, b in basis.items():
+            if v >> j & 1:
+                v ^= b
+        if not v:
+            continue
+        j = (v & -v).bit_length() - 1
+        for i, b in basis.items():
+            if b >> j & 1:
+                basis[i] = b ^ v
+        basis[j] = v
+    pivots = sorted(basis)
+    return [[basis[j] >> k & 1 for k in range(ncols)] for j in pivots], pivots
 
 
 @dataclass(frozen=True)
@@ -457,6 +489,7 @@ class ProjPoint:
         if rep[k] != 1:
             raise ValueError("representative is not normalized")
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "_index", encode(rep, self.p))
 
     @classmethod
     def from_vector(cls, v: VecP) -> "ProjPoint":
@@ -472,7 +505,7 @@ class ProjPoint:
 
     @property
     def index(self) -> int:
-        return encode(self.rep, self.p)
+        return self._index  # type: ignore[attr-defined]
 
     def vector(self) -> VecP:
         return VecP(self.p, self.rep)

@@ -11,6 +11,12 @@ test checks) every vertical fiber is empty or a subspace contained in the
 fiber over 0, fibers are constant on projective classes, and the fiber over
 any point of the projective line through [x] and [y] contains the
 intersection of the fibers over [x] and [y].
+
+The fiberwise test reads the vertical fiber over x in place, as the column
+``(A >> x) & C0`` with C0 one bit per y at stride p**n1, so containment,
+class constancy and the line condition are ANDs and XORs of whole columns.
+Whether a column is a subspace is cached per column; a failing column is
+searched bit by bit for its witness.
 """
 
 from __future__ import annotations
@@ -115,7 +121,13 @@ class SingleSet:
         return [decode(i, self.p, self.n) for i in self.indices()]
 
     def contains(self, index: int) -> bool:
+        _check_index("index", index, self.p**self.n)
         return bool(self.indicator >> index & 1)
+
+
+def _check_index(name: str, value: int, bound: int) -> None:
+    if not 0 <= value < bound:
+        raise ValueError(f"{name} {value} out of range [0, {bound})")
 
 
 def _mask_sum(space, fa: int, fb: int, sign: int) -> int:
@@ -226,7 +238,10 @@ class PairSet:
         ]
 
     def contains(self, x_index: int, y_index: int) -> bool:
-        return bool(self.indicator >> (x_index + self.p**self.n1 * y_index) & 1)
+        m1 = self.p**self.n1
+        _check_index("x index", x_index, m1)
+        _check_index("y index", y_index, self.p**self.n2)
+        return bool(self.indicator >> (x_index + m1 * y_index) & 1)
 
     def _replace(self, indicator: int) -> "PairSet":
         return PairSet(self.p, self.n1, self.n2, indicator)
@@ -315,8 +330,12 @@ def phi(a: PairSet, word: str) -> PairSet:
 def fiber(a: PairSet, direction: str, at: int) -> SingleSet:
     """The fiber over one point: vertical gives {y : (x, y) in A} at x = at."""
     if direction == VERTICAL:
-        return SingleSet(a.p, a.n2, a.vertical_fibers()[at])
+        m1 = a.p**a.n1
+        _check_index("x index", at, m1)
+        col = a.indicator >> at & _column_mask(m1, a.p**a.n2)
+        return SingleSet(a.p, a.n2, _column_bits(col, m1))
     if direction == HORIZONTAL:
+        _check_index("y index", at, a.p**a.n2)
         return SingleSet(a.p, a.n1, a.horizontal_fibers()[at])
     raise ValueError(f"direction must be 'V' or 'H', got {direction!r}")
 
@@ -369,47 +388,84 @@ def transversality_violation(a: PairSet, mode: str = "fiberwise"):
     if mode != "fiberwise":
         raise ValueError(f"mode must be 'direct' or 'fiberwise', got {mode!r}")
 
-    sp1 = vspace(a.p, a.n1)
-    sp2 = vspace(a.p, a.n2)
-    fibers = a.vertical_fibers()
-    f0 = fibers[0]
-    for x, f in enumerate(fibers):
-        if not f:
+    p, n1, n2 = a.p, a.n1, a.n2
+    sp1 = vspace(p, n1)
+    m1 = p**n1
+    ind = a.indicator
+    c0 = _column_mask(m1, p**n2)
+    cols = [ind >> x & c0 for x in range(m1)]
+    col0 = cols[0]
+    for x, col in enumerate(cols):
+        if not col:
             continue
-        if not f & 1:
+        if not col & 1:
             return ("nonempty vertical fiber misses 0", (x, 0))
-        bits = list(_iter_bits(f))
-        for i in bits:
-            row = sp2.add[i]
-            for j in bits:
-                if not f >> row[j] & 1:
-                    return ("vertical fiber is not a subspace", (x, row[j]))
-        extra = f & ~f0
+        if not _column_is_subspace(p, n1, n2, col):
+            return ("vertical fiber is not a subspace",
+                    (x, _sum_witness(p, n2, _column_bits(col, m1))))
+        extra = col & ~col0
         if extra:
             return ("vertical fiber not contained in the fiber over 0",
-                    (x, (extra & -extra).bit_length() - 1))
+                    (x, _low_row(extra, m1)))
     for cid, members in enumerate(sp1.class_members):
         rep = sp1.proj_reps[cid]
         for m in members:
-            delta = fibers[m] ^ fibers[rep]
+            delta = cols[m] ^ cols[rep]
             if delta:
-                return ("fibers differ within a projective class",
-                        (m, (delta & -delta).bit_length() - 1))
+                return ("fibers differ within a projective class", (m, _low_row(delta, m1)))
     reps = sp1.proj_reps
     for ia, ra in enumerate(reps):
-        fa = fibers[ra]
+        fa = cols[ra]
         if not fa:
             continue
         for rb in reps[ia + 1:]:
-            inter = fa & fibers[rb]
+            inter = fa & cols[rb]
             if not inter:
                 continue
-            for lam in range(1, a.p):
+            for lam in range(1, p):
                 z = sp1.add[ra][sp1.scale[lam][rb]]
-                missing = inter & ~fibers[z]
+                missing = inter & ~cols[z]
                 if missing:
-                    return ("line condition fails",
-                            (z, (missing & -missing).bit_length() - 1))
+                    return ("line condition fails", (z, _low_row(missing, m1)))
+    return None
+
+
+def _column_mask(m1: int, m2: int) -> int:
+    """One bit per y at stride m1, so that bit m1 * y of (A >> x) & mask is
+    set exactly when (x, y) is in A: the vertical fiber over x, in place."""
+    return ((1 << m1 * m2) - 1) // ((1 << m1) - 1)
+
+
+def _low_row(col: int, m1: int) -> int:
+    """The smallest y of a nonzero column."""
+    return ((col & -col).bit_length() - 1) // m1
+
+
+@lru_cache(maxsize=4096)
+def _column_is_subspace(p: int, n1: int, n2: int, col: int) -> bool:
+    """Whether a column that contains 0 is closed under addition, which
+    over F_p makes it a subspace."""
+    return _sum_witness(p, n2, _column_bits(col, p**n1)) is None
+
+
+def _column_bits(col: int, m1: int) -> int:
+    """A column as a bitset over y."""
+    f = 0
+    for i in _iter_bits(col):
+        f |= 1 << i // m1
+    return f
+
+
+def _sum_witness(p: int, n: int, f: int):
+    """The first sum i + j of members i, j of the bitset f that falls
+    outside it, members taken in ascending order, or None."""
+    add = vspace(p, n).add
+    bits = list(_iter_bits(f))
+    for i in bits:
+        row = add[i]
+        for j in bits:
+            if not f >> row[j] & 1:
+                return row[j]
     return None
 
 

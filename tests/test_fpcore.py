@@ -195,3 +195,18 @@ def test_rref_idempotent():
         again, pivots2 = rref(reduced, p)
         assert again == reduced
         assert pivots == pivots2
+
+
+def test_proj_point_index_is_stored():
+    pt = ProjPoint(3, (0, 1, 2))
+    assert pt.index == encode((0, 1, 2), 3) == 21
+    assert vars(pt)["_index"] == 21
+    # equality and hashing stay on (p, rep)
+    assert pt == ProjPoint(3, (0, 1, 2)) and hash(pt) == hash(ProjPoint(3, (0, 1, 2)))
+    assert pt != ProjPoint(3, (1, 0, 0))
+
+
+def test_rref_gf2_edge_cases():
+    assert rref([], 2) == ([], [])
+    assert rref([(0, 0, 0), (2, 4, 0)], 2) == ([], [])
+    assert rref([(1, 1, 0), (1, 1, 0), (3, 0, 1)], 2) == ([[1, 0, 1], [0, 1, 1]], [0, 1])

@@ -174,3 +174,41 @@ def test_violation_witness_points_at_failure():
     cond, (x, y) = transversality_violation(a, "fiberwise")
     assert "0" in cond or "subspace" in cond
     assert a.contains(1, 2)
+
+
+def test_index_accessors_are_range_checked():
+    a = PairSet.from_pairs(2, 2, 2, [(1, 1)])
+    assert a.contains(1, 1) and not a.contains(3, 3)
+    # (5, 0) would alias bit 5, the pair (1, 1)
+    for x, y in ((5, 0), (-1, 0), (0, 4), (0, -1)):
+        with pytest.raises(ValueError, match=r"out of range \[0, 4\)"):
+            a.contains(x, y)
+    b = PairSet.from_pairs(2, 2, 1, [(3, 0), (3, 1), (1, 1)])
+    assert fiber(b, "V", 3).indices() == [0, 1]
+    assert fiber(b, "H", 1).indices() == [1, 3]
+    for direction, at in (("V", -1), ("V", 4), ("H", -1), ("H", 2)):
+        with pytest.raises(ValueError, match=r"index -?\d out of range \[0, [24]\)"):
+            fiber(b, direction, at)
+    s = SingleSet.from_indices(3, 1, [2])
+    assert s.contains(2) and not s.contains(0)
+    for i in (3, -1):
+        with pytest.raises(ValueError, match=r"index -?\d out of range \[0, 3\)"):
+            s.contains(i)
+
+
+def test_vertical_fiber_reads_agree_with_the_fiber_list():
+    rng = SplitMix64(23)
+    for p, n1, n2 in ((2, 2, 2), (3, 2, 1), (2, 1, 3), (5, 1, 2)):
+        for _ in range(20):
+            mask = 0
+            for _ in range(rng.below(12) + 1):
+                mask |= 1 << rng.below(p ** (n1 + n2))
+            a = PairSet(p, n1, n2, mask)
+            fibers = a.vertical_fibers()
+            assert [fiber(a, "V", x).indicator for x in range(p**n1)] == fibers
+
+
+def test_transversality_caches_are_bounded():
+    from transverse.pairsets import _column_is_subspace
+
+    assert _column_is_subspace.cache_parameters()["maxsize"] is not None

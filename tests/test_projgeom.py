@@ -110,3 +110,19 @@ def test_projective_count_matches_pgl():
     assert search_sigma(2, 2).counts["projective"] == 6
     assert search_sigma(3, 2).counts["candidates"] == 24  # 4! permutations of the 4 points
     assert search_sigma(3, 2).counts["projective"] == pgl_order(3, 2) == 24
+
+
+def test_frame_cache_is_bounded_and_shared_by_frames():
+    from transverse.projgeom import _frame_candidate
+
+    assert _frame_candidate.cache_parameters()["maxsize"] is not None
+    _frame_candidate.cache_clear()
+    pts = proj_enumerate(2, 3)
+    # two tables with the same frame images (classes 0, 1, 3 and the
+    # all-ones class 6) share one cache entry
+    ident = ProjBijection(2, 3, 3, tuple(pts))
+    swapped = ProjBijection(2, 3, 3, tuple(pts[i] for i in (0, 1, 4, 3, 2, 5, 6)))
+    assert recognize_projective(ident) is not None
+    assert recognize_projective(swapped) is None
+    info = _frame_candidate.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

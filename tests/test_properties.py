@@ -1,6 +1,10 @@
 """Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
 (the span_closure and form_zero_mask families add (5,2); the fiber_oracle
 family adds (5,2) and the non-square shapes (2,1,3), (3,3,2) and (7,1,2)).
+The three table-driven oracles are checked against the loops they replaced:
+transversality on column masks against the per-bit fiber walk, projective
+recognition from the frame table against the per-class check, and the XOR
+elimination at p = 2 against the list elimination.
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -9,12 +13,34 @@ suite is also callable as run_suite() which reports (cases, seconds).
 
 import time
 from functools import lru_cache
+from itertools import permutations
 
 from transverse.bilinear import _form_zero_mask, ann, closure, is_bilinear, orth
-from transverse.constructions import build_P_sigma, random_sigma
+from transverse.constructions import ProjBijection, build_P_sigma, random_sigma
 from transverse.detrng import SplitMix64
-from transverse.fpcore import Subspace, decode, span
-from transverse.pairsets import PairSet, _iter_bits, dir_sum, is_transverse, phi, projections
+from transverse.fpcore import (
+    MatP,
+    ProjPoint,
+    Subspace,
+    VecP,
+    decode,
+    encode,
+    proj_enumerate,
+    rref,
+    span,
+    vspace,
+)
+from transverse.pairsets import (
+    PairSet,
+    _iter_bits,
+    _span_mask,
+    dir_sum,
+    is_transverse,
+    phi,
+    projections,
+    transversality_violation,
+)
+from transverse.projgeom import recognize_projective
 
 SHAPES = ((2, 2), (3, 2), (2, 3))
 
@@ -27,6 +53,11 @@ COUNTS = {
     "phi_fixpoint": 1500,
     "dir_sum_symmetry": 1600,
     "fiber_oracle": 1400,
+    # every (2,2) subset, then fiber-map sets over seven shapes
+    "transversality_oracle": 65_536 + 4_200,
+    # every permutation at (2,2), (3,2), (2,3) and (5,2), then random maps
+    "recognition_oracle": 6 + 24 + 5_040 + 720 + 2_400,
+    "rref_gf2": 3000,
 }
 
 
@@ -111,6 +142,120 @@ def reference_verdict(a):
         witness = (i % p**n1, i // p**n1)
     status = "bilinear" if axis is None and not extra else "non_bilinear"
     return status, w1, w2, basis, closed, witness, axis
+
+
+# ------------------------------------- per-bit reference of transversality
+
+
+def reference_transversality_violation(a):
+    """The fiberwise check walking every member bit: vertical fibers built
+    pair by pair, subspaces checked by all pairwise sums."""
+    sp1 = vspace(a.p, a.n1)
+    sp2 = vspace(a.p, a.n2)
+    m1 = a.p**a.n1
+    fibers = [0] * m1
+    for i in _iter_bits(a.indicator):
+        fibers[i % m1] |= 1 << i // m1
+    f0 = fibers[0]
+    for x, f in enumerate(fibers):
+        if not f:
+            continue
+        if not f & 1:
+            return ("nonempty vertical fiber misses 0", (x, 0))
+        bits = list(_iter_bits(f))
+        for i in bits:
+            row = sp2.add[i]
+            for j in bits:
+                if not f >> row[j] & 1:
+                    return ("vertical fiber is not a subspace", (x, row[j]))
+        extra = f & ~f0
+        if extra:
+            return ("vertical fiber not contained in the fiber over 0",
+                    (x, (extra & -extra).bit_length() - 1))
+    for cid, members in enumerate(sp1.class_members):
+        rep = sp1.proj_reps[cid]
+        for m in members:
+            delta = fibers[m] ^ fibers[rep]
+            if delta:
+                return ("fibers differ within a projective class",
+                        (m, (delta & -delta).bit_length() - 1))
+    reps = sp1.proj_reps
+    for ia, ra in enumerate(reps):
+        fa = fibers[ra]
+        if not fa:
+            continue
+        for rb in reps[ia + 1:]:
+            inter = fa & fibers[rb]
+            if not inter:
+                continue
+            for lam in range(1, a.p):
+                z = sp1.add[ra][sp1.scale[lam][rb]]
+                missing = inter & ~fibers[z]
+                if missing:
+                    return ("line condition fails",
+                            (z, (missing & -missing).bit_length() - 1))
+    return None
+
+
+# ------------------------------------- per-class reference of recognition
+
+
+def reference_recognize_projective(m):
+    """Frame equations solved for each map, and the candidate checked class
+    by class against the map's images."""
+    p, nd, nc = m.p, m.n_dom, m.n_cod
+    sp = vspace(p, nd)
+    cod = vspace(p, nc)
+    basis_cols = [m.images[sp.class_of[p**i]].rep for i in range(nd)]
+    w = m.images[sp.class_of[sum(p**j for j in range(nd))]].rep
+    aug = [tuple(basis_cols[i][r] for i in range(nd)) + (w[r],) for r in range(nc)]
+    reduced, pivots = reference_rref(aug, p)
+    if nd in pivots or len([j for j in pivots if j < nd]) != nd:
+        return None
+    lam = [0] * nd
+    for row, j in zip(reduced, pivots):
+        lam[j] = row[nd]
+    if any(v == 0 for v in lam):
+        return None
+    cols = [tuple(lam[i] * c % p for c in basis_cols[i]) for i in range(nd)]
+    mat = tuple(tuple(cols[i][r] for i in range(nd)) for r in range(nc))
+    for cid, rep_idx in enumerate(sp.proj_reps):
+        x = sp.coords[rep_idx]
+        fx = encode([sum(a * b for a, b in zip(row, x)) % p for row in mat], p)
+        if cod.class_of[fx] != cod.class_of[m.images[cid].index]:
+            return None
+    flat = [c for row in mat for c in row]
+    inv = pow(next(c for c in flat if c), p - 2, p)
+    return MatP(p, tuple(tuple(c * inv % p for c in row) for row in mat))
+
+
+# ------------------------------------------------ list reference of rref
+
+
+def reference_rref(rows, p):
+    """Reduced row echelon form by elimination on lists of entries."""
+    basis = []
+    pivots = []
+    for r in rows:
+        row = [c % p for c in r]
+        for b, j in zip(basis, pivots):
+            lam = row[j]
+            if lam:
+                row = [(c - lam * bc) % p for c, bc in zip(row, b)]
+        j = next((k for k, c in enumerate(row) if c), None)
+        if j is None:
+            continue
+        if row[j] != 1:
+            inv = pow(row[j], p - 2, p)
+            row = [c * inv % p for c in row]
+        for i, b in enumerate(basis):
+            lam = b[j]
+            if lam:
+                basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
+        basis.append(row)
+        pivots.append(j)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], sorted(pivots)
 
 
 def random_pairset(rng, p, n, max_points):
@@ -201,6 +346,125 @@ def family_fiber_oracle(cases, seed=108):
     return cases
 
 
+def random_span(rng, p, n, members, draws):
+    """Bitset of the span of up to `draws` members drawn from a list."""
+    mask = 0
+    for _ in range(rng.below(draws + 1)):
+        mask |= 1 << members[rng.below(len(members))]
+    return _span_mask(p, n, mask)
+
+
+def random_fiber_map_set(rng, p, n1, n2):
+    """A set with subspace fibers inside a fiber over 0 and constant on
+    projective classes, some classes empty; the line condition is left to
+    chance."""
+    m1 = p**n1
+    f0 = random_span(rng, p, n2, range(p**n2), 3)
+    inside = list(_iter_bits(f0))
+    mask = 0
+    for y in inside:
+        mask |= 1 << m1 * y
+    for members in vspace(p, n1).class_members:
+        if rng.below(4) == 0:
+            continue
+        f = random_span(rng, p, n2, inside, 2)
+        for x in members:
+            for y in _iter_bits(f):
+                mask |= 1 << x + m1 * y
+    return mask
+
+
+def family_transversality_oracle(cases, seed=109):
+    """The fiberwise check on column masks returns the per-bit reference's
+    verdict and witness: first on every subset of F_2^2 x F_2^2, then on
+    fiber-map sets over seven shapes, half of them with one bit flipped.
+    Every one of the five conditions is reported somewhere."""
+    rng = SplitMix64(seed)
+    shapes = ((3, 2, 2), (2, 3, 3), (5, 2, 2), (2, 1, 3), (3, 3, 2), (7, 1, 2), (2, 2, 4))
+    seen = set()
+    for k in range(cases):
+        if k < 1 << 16:
+            a = PairSet(2, 2, 2, k)
+        else:
+            p, n1, n2 = shapes[k % len(shapes)]
+            mask = random_fiber_map_set(rng, p, n1, n2)
+            if rng.below(2):
+                mask ^= 1 << rng.below(p ** (n1 + n2))
+            a = PairSet(p, n1, n2, mask)
+        got = transversality_violation(a)
+        assert got == reference_transversality_violation(a), a
+        seen.add(got[0] if got else None)
+    assert len(seen) == 6, seen
+    return cases
+
+
+def random_injective_matrix(rng, p, nd, nc):
+    while True:
+        rows = tuple(tuple(rng.below(p) for _ in range(nd)) for _ in range(nc))
+        if len(reference_rref(rows, p)[0]) == nd:
+            return MatP(p, rows)
+
+
+def recognition_cases(rng):
+    """Every permutation of P(F_p^n) at (2,2), (3,2), (2,3) and (5,2), then
+    alternately a random injective map and the map of a random injective
+    matrix, over four (p, n_dom, n_cod)."""
+    for p, n in ((2, 2), (3, 2), (2, 3), (5, 2)):
+        pts = proj_enumerate(p, n)
+        for perm in permutations(pts):
+            yield ProjBijection(p, n, n, perm)
+    shapes = ((3, 3, 3), (2, 2, 3), (3, 2, 3), (2, 3, 4))
+    k = 0
+    while True:
+        p, nd, nc = shapes[k % len(shapes)]
+        dom = proj_enumerate(p, nd)
+        if k % 2:
+            cod = proj_enumerate(p, nc)
+            picked = []
+            while len(picked) < len(dom):
+                pt = cod[rng.below(len(cod))]
+                if pt not in picked:
+                    picked.append(pt)
+            yield ProjBijection(p, nd, nc, tuple(picked))
+        else:
+            mat = random_injective_matrix(rng, p, nd, nc)
+            yield ProjBijection(p, nd, nc, tuple(
+                ProjPoint.from_vector(mat.apply(VecP(p, pt.rep))) for pt in dom))
+        k += 1
+
+
+def family_recognition_oracle(cases, seed=110):
+    """recognize_projective from the frame table equals the per-class
+    reference, matrix included, on every permutation of four small
+    projective spaces and on random injective and matrix-induced maps."""
+    rng = SplitMix64(seed)
+    projective = 0
+    for _, m in zip(range(cases), recognition_cases(rng)):
+        got = recognize_projective(m)
+        assert got == reference_recognize_projective(m), m
+        projective += got is not None
+    assert 0 < projective < cases
+    return cases
+
+
+def family_rref_gf2(cases, seed=111):
+    """rref at p = 2 (packed rows, XOR) equals the list elimination on rows
+    with entries in [0, 5), with empty input, zero rows and duplicates."""
+    rng = SplitMix64(seed)
+    for k in range(cases):
+        ncols = rng.below(10) + 1
+        rows = [[rng.below(5) for _ in range(ncols)] for _ in range(rng.below(9))]
+        roll = k % 4
+        if roll == 1:
+            rows.insert(rng.below(len(rows) + 1), [0] * ncols)
+        elif roll == 2 and rows:
+            rows.append(list(rows[rng.below(len(rows))]))
+        elif roll == 3:
+            rows = [] if k % 8 == 3 else [[2 * c for c in r] for r in rows]
+        assert rref(rows, 2) == reference_rref(rows, 2)
+    return cases
+
+
 def family_form_zero_mask(cases, seed=107):
     """The zero-set table of one form is the set of pairs on which the form,
     evaluated directly on their outer products, vanishes."""
@@ -275,6 +539,9 @@ FAMILIES = {
     "phi_fixpoint": family_phi_fixpoint,
     "dir_sum_symmetry": family_dir_sum_symmetry,
     "fiber_oracle": family_fiber_oracle,
+    "transversality_oracle": family_transversality_oracle,
+    "recognition_oracle": family_recognition_oracle,
+    "rref_gf2": family_rref_gf2,
 }
 
 
@@ -319,3 +586,16 @@ def test_family_dir_sum_symmetry():
 
 def test_total_case_budget():
     assert sum(COUNTS.values()) >= 10_000
+
+
+def test_family_transversality_oracle():
+    assert family_transversality_oracle(COUNTS["transversality_oracle"]) == COUNTS[
+        "transversality_oracle"]
+
+
+def test_family_recognition_oracle():
+    assert family_recognition_oracle(COUNTS["recognition_oracle"]) == COUNTS["recognition_oracle"]
+
+
+def test_family_rref_gf2():
+    assert family_rref_gf2(COUNTS["rref_gf2"]) == COUNTS["rref_gf2"]
