@@ -37,7 +37,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .fpcore import MatP, Subspace, VecP, decode, is_prime, rref, rref_kernel, vspace
+from .fpcore import (
+    MatP,
+    Subspace,
+    VecP,
+    _xor_eliminate,
+    decode,
+    encode,
+    is_prime,
+    rref,
+    rref_kernel,
+    vspace,
+)
 from .pairsets import PairSet, _fiber_read, _iter_bits, _span_mask, mask_to_subspace
 
 __all__ = [
@@ -233,7 +244,8 @@ def _fiber_span(p: int, n1: int, n2: int, spans: tuple) -> tuple:
     span masks of the per-class fiber unions U_c.  For y = lam * rep_c,
     x (x) y = lam * (x (x) rep_c), so S(A) is the sum over the classes of
     span(U_c) (x) rep_c: only the basis rows of each span(U_c), times rep_c,
-    are eliminated."""
+    are eliminated.  The closure uses it at odd p; at p = 2 _span_gf2 gives
+    the same basis packed."""
     sp2 = vspace(p, n2)
     rows = [[a * b for a in x for b in sp2.coords[rep]]
             for s, rep in zip(spans, sp2.proj_reps) if s
@@ -277,17 +289,75 @@ def _form_zero_mask(p: int, n1: int, n2: int, flat: tuple) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _outer_bits(n1: int, n2: int) -> tuple:
+    """x (x) y over F_2 for every pair of indices, packed with entry (i, j)
+    at bit i * n2 + j: _outer_bits(n1, n2)[x][y].  At p = 2 an index is its
+    own coordinate bitset, so x (x) y is y shifted to row i for each bit i
+    of x."""
+    return tuple(
+        tuple(sum(y << i * n2 for i in range(n1) if x >> i & 1) for y in range(1 << n2))
+        for x in range(1 << n1)
+    )
+
+
+@lru_cache(maxsize=65536)
+def _basis_indices(p: int, n: int, mask: int) -> tuple:
+    """Encoded indices of the RREF basis of the span of a bitset."""
+    return tuple(encode(b, p) for b in mask_to_subspace(p, n, mask).basis)
+
+
+def _span_gf2(n1: int, n2: int, spans: tuple) -> tuple[list, list]:
+    """S(A) at p = 2, packed from outer product to check forms: the rows
+    x (x) rep_c for the basis rows x of each span(U_c) are XOR-eliminated,
+    and each free column f gives the check form e_f plus e_j for every
+    pivot j whose row has bit f (over F_2, -b = b).  Returns the reduced
+    basis rows in pivot order and the check forms in column order."""
+    outer = _outer_bits(n1, n2)
+    basis = _xor_eliminate(
+        outer[x][rep]
+        for s, rep in zip(spans, vspace(2, n2).proj_reps) if s
+        for x in _basis_indices(2, n1, s)
+    )
+    pivots = sorted(basis)
+    rows = [basis[j] for j in pivots]
+    checks = []
+    for f in range(n1 * n2):
+        if f in basis:
+            continue
+        h = 1 << f
+        for j, b in zip(pivots, rows):
+            if b >> f & 1:
+                h |= 1 << j
+        checks.append(h)
+    return rows, checks
+
+
+@lru_cache(maxsize=4096)
+def _unpack(v: int, width: int) -> tuple:
+    """A packed F_2 row as its entry tuple."""
+    return tuple(v >> k & 1 for k in range(width))
+
+
 @lru_cache(maxsize=4096)
 def _span_closure(p: int, n1: int, n2: int, w1: int, w2: int, spans: tuple) -> ClosureResult:
     """Closure over the spans W1, W2 (given as bitsets) and S(A) (given by
     its per-class fiber spans): W1 x W2 intersected with the zero sets of
-    the check forms of S(A)."""
-    span = _fiber_span(p, n1, n2, spans)
+    the check forms of S(A).  At p = 2, S(A) and its check forms stay
+    packed (_span_gf2) and only the span field is unpacked; odd p works on
+    lists (_fiber_span, _check_forms)."""
+    if p == 2:
+        rows, checks = _span_gf2(n1, n2, spans)
+        span = tuple(_unpack(r, n1 * n2) for r in rows)
+        forms = [_unpack(h, n1 * n2) for h in checks]
+    else:
+        span = _fiber_span(p, n1, n2, spans)
+        forms = _check_forms(p, n1, n2, span)
     m1 = p**n1
     out = 0
     for y in _iter_bits(w2):
         out |= w1 << (m1 * y)
-    for h in _check_forms(p, n1, n2, span):
+    for h in forms:
         out &= _form_zero_mask(p, n1, n2, h)
     return ClosureResult(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
                          PairSet(p, n1, n2, out))

@@ -25,7 +25,7 @@ from .fpcore import (
     proj_enumerate,
     vspace,
 )
-from .pairsets import PairSet
+from .pairsets import PairSet, _column_mask
 
 __all__ = [
     "ProjBijection",
@@ -72,10 +72,10 @@ class ProjBijection:
         return proj_enumerate(self.p, self.n_dom)
 
     def image_of(self, pt: ProjPoint) -> ProjPoint:
-        cid = vspace(self.p, self.n_dom).class_of[pt.index]
-        if cid < 0:
-            raise ValueError("point is not a domain element")
-        return self.images[cid]
+        if pt.p != self.p or pt.n != self.n_dom:
+            raise ValueError(f"point of P(F_{pt.p}^{pt.n}) is not in the domain "
+                             f"P(F_{self.p}^{self.n_dom})")
+        return self.images[vspace(self.p, self.n_dom).class_of[pt.index]]
 
     def index_table(self) -> tuple[int, ...]:
         return tuple(pt.index for pt in self.images)
@@ -128,18 +128,22 @@ def build_P_sigma(sigma: ProjBijection, override_cap: bool = False) -> PairSet:
     p = sigma.p
     n1, n2 = sigma.n_dom, sigma.n_cod
     check_cap(p ** (n1 + n2), override_cap, "pair space")
-    m1, m2 = p**n1, p**n2
-    sp1 = vspace(p, n1)
-    sp2 = vspace(p, n2)
-    mask = 0
-    for yi in range(m2):
-        mask |= 1 << (m1 * yi)
+    m1 = p**n1
+    class_members = vspace(p, n1).class_members
+    mask = _column_mask(m1, p**n2)
     for cid, img in enumerate(sigma.images):
-        ys = [0] + [sp2.scale[lam][img.index] for lam in range(1, p)]
-        for x in sp1.class_members[cid]:
-            for yi in ys:
-                mask |= 1 << (x + m1 * yi)
+        col = _span_column(p, m1, n2, img.index)
+        for x in class_members[cid]:
+            mask |= col << x
     return PairSet(p, n1, n2, mask)
+
+
+@lru_cache(maxsize=1024)
+def _span_column(p: int, m1: int, n2: int, index: int) -> int:
+    """Pair-space column of the fiber Span(v), v the vector of F_p^n2 with
+    the given index: bit m1 * (lam * v) for every lam in F_p."""
+    scale = vspace(p, n2).scale
+    return sum(1 << (m1 * scale[lam][index]) for lam in range(p))
 
 
 def random_sigma(p: int, n: int, seed: int) -> ProjBijection:

@@ -28,7 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from .bilinear import FormSpace, _check_forms, _form_zero_mask, is_bilinear, orth
@@ -195,6 +195,32 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _next_perm(a: list) -> None:
+    """Step a permutation list in place to its lexicographic successor."""
+    i = len(a) - 2
+    while i >= 0 and a[i] > a[i + 1]:
+        i -= 1
+    if i < 0:
+        raise ValueError("the last permutation has no successor")
+    j = len(a) - 1
+    while a[j] < a[i]:
+        j -= 1
+    a[i], a[j] = a[j], a[i]
+    a[i + 1:] = a[:i:-1]
+
+
+def _perm_range(lo: int, hi: int, n: int):
+    """The permutations of range(n) of rank lo, ..., hi - 1, in rank order:
+    one perm_unrank at lo, then lexicographic successors."""
+    if lo >= hi:
+        return
+    a = list(perm_unrank(lo, n))
+    yield tuple(a)
+    for _ in range(hi - lo - 1):
+        _next_perm(a)
+        yield tuple(a)
+
+
 def perm_rank(perm) -> int:
     """Lexicographic rank of a permutation of range(len(perm))."""
     n = len(perm)
@@ -350,11 +376,52 @@ def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, span):
     raise ClassificationError(f"set of size {s.size} fits no alternative")
 
 
+def _fiber_maps(f0: int, options: list, lines: tuple, k: int, leaf) -> None:
+    """Call leaf(fibers) for every assignment of an option to each of the k
+    projective classes, in digit order, whose fibers lie inside f0 and
+    satisfy the line condition: on each line (a tuple of class ids), the
+    intersection of any two fibers lies inside every fiber.  The fibers
+    list is reused between calls.
+
+    Each line carries the OR U of the fibers placed on it so far, the OR I
+    of their pairwise intersections and their AND M.  Placing f keeps the
+    condition iff (I | U & f) & ~(M & f) == 0, and the state is restored
+    on the way back up."""
+    through = [[li for li, ids in enumerate(lines) if j in ids] for j in range(k)]
+    union = [0] * len(lines)
+    inter = [0] * len(lines)
+    meet = [-1] * len(lines)
+    fibers = [0] * k
+    allowed = [fm for fm in options if not fm & ~f0]
+
+    def descend(j):
+        if j == k:
+            leaf(fibers)
+            return
+        ls = through[j]
+        for fm in allowed:
+            for li in ls:
+                if (inter[li] | union[li] & fm) & ~(meet[li] & fm):
+                    break
+            else:
+                saved = [(union[li], inter[li], meet[li]) for li in ls]
+                for li in ls:
+                    inter[li] |= union[li] & fm
+                    union[li] |= fm
+                    meet[li] &= fm
+                fibers[j] = fm
+                descend(j + 1)
+                for li, (u, i, m) in zip(ls, saved):
+                    union[li], inter[li], meet[li] = u, i, m
+
+    descend(0)
+
+
 def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     """DFS over fiber assignments whose fiber-over-zero digit lies in
     [d_lo, d_hi).  Digits index `options` = [full] + hyperplanes; a full
     assignment is one digit for the zero fiber plus one per projective
-    class, pruned by fiber containment and the pairwise line condition."""
+    class, pruned by fiber containment and the line condition (_fiber_maps)."""
     p, n = args
     sp = vspace(p, n)
     k = len(sp.proj_reps)
@@ -363,7 +430,6 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     hyps = all_subspaces(p, n, dim=n - 1)
     options = [full] + [subspace_mask(h) for h in hyps]
     lines, _ = line_structure(p, n)
-    lines_with = [[ids for ids in lines if j in ids] for j in range(k)]
     # per-option indicator column for one x, to scatter into the pair mask
     scatter = {fm: sum(1 << (m1 * y) for y in range(m1) if (fm >> y) & 1) for fm in options}
     counts = {
@@ -375,9 +441,8 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
         "bilinear": 0,
         "leaf_rejected": 0,
     }
-    fibers = [0] * k
 
-    def leaf(f0):
+    def leaf(f0, fibers):
         mask = scatter[f0]
         for cid in range(k):
             col = scatter[fibers[cid]]
@@ -405,32 +470,8 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
         if verdict.status == "bilinear":
             counts["bilinear"] += 1
 
-    def descend(f0, j):
-        if j == k:
-            leaf(f0)
-            return
-        for fm in options:
-            if fm & ~f0:
-                continue
-            fibers[j] = fm
-            ok = True
-            for ids in lines_with[j]:
-                placed = [c for c in ids if c <= j]
-                for ai in range(len(placed)):
-                    for bi in range(ai + 1, len(placed)):
-                        inter = fibers[placed[ai]] & fibers[placed[bi]]
-                        if any(inter & ~fibers[c] for c in placed):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                descend(f0, j + 1)
-
     for d0 in range(d_lo, d_hi):
-        descend(options[d0], 0)
+        _fiber_maps(options[d0], options, lines, k, partial(leaf, options[d0]))
     counts["rejected"] = counts["raw"] - counts["valid"]
     return counts, []
 
@@ -470,8 +511,8 @@ def _sigma_range(args: tuple, lo: int, hi: int):
         "projective_non_bilinear": 0,
     }
     witnesses = []
-    for rank in range(lo, hi):
-        table = tables[rank] if tables is not None else perm_unrank(rank, k)
+    ranked = tables[lo:hi] if tables is not None else _perm_range(lo, hi, k)
+    for rank, table in zip(range(lo, hi), ranked):
         sigma = ProjBijection(p, n, n, tuple(pts[i] for i in table))
         verdict = is_bilinear(build_P_sigma(sigma))
         hit = verdict.status == "non_bilinear"
@@ -607,8 +648,7 @@ def _fundamental_range(args: tuple, lo: int, hi: int):
         "violations": 0,
     }
     witnesses = []
-    for rank in range(lo, hi):
-        table = perm_unrank(rank, k)
+    for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
         preserving = _line_condition(p, n, n, table)
         images = tuple(pts[i] for i in table)
         projective = recognize_projective(ProjBijection(p, n, n, images)) is not None
@@ -652,8 +692,7 @@ def _xi_range(args: tuple, lo: int, hi: int):
         "violations": 0,
     }
     witnesses = []
-    for rank in range(lo, hi):
-        table = perm_unrank(rank, k)
+    for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
         xi = ProjBijection(p, 2, 2, tuple(pts[i] for i in table))
         verdict = is_bilinear(build_P_xi(w, line, xi))
         bilinear = verdict.status == "bilinear"

@@ -247,16 +247,27 @@ def rref(rows, p: int):
 
 
 def _rref_gf2(rows):
-    """rref over F_2 on packed rows: reduce each row against the basis,
-    then clear its pivot bit from the earlier rows."""
-    basis: dict[int, int] = {}  # pivot column -> packed row
+    """rref over F_2 on packed rows (column j at bit j)."""
     ncols = 0
+    packed = []
     for r in rows:
         ncols = len(r)
         v = 0
         for j, c in enumerate(r):
             if c & 1:
                 v |= 1 << j
+        packed.append(v)
+    basis = _xor_eliminate(packed)
+    pivots = sorted(basis)
+    return [[basis[j] >> k & 1 for k in range(ncols)] for j in pivots], pivots
+
+
+def _xor_eliminate(rows) -> dict[int, int]:
+    """Reduced echelon basis over F_2 of packed rows, as {pivot: row}: each
+    row is reduced against the basis, then its pivot bit (its lowest set
+    bit) is cleared from the earlier rows."""
+    basis: dict[int, int] = {}
+    for v in rows:
         for j, b in basis.items():
             if v >> j & 1:
                 v ^= b
@@ -267,8 +278,7 @@ def _rref_gf2(rows):
             if b >> j & 1:
                 basis[i] = b ^ v
         basis[j] = v
-    pivots = sorted(basis)
-    return [[basis[j] >> k & 1 for k in range(ncols)] for j in pivots], pivots
+    return basis
 
 
 @dataclass(frozen=True)

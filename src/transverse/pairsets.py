@@ -130,7 +130,11 @@ def _check_index(name: str, value: int, bound: int) -> None:
         raise ValueError(f"{name} {value} out of range [0, {bound})")
 
 
-def _mask_sum(space, fa: int, fb: int, sign: int) -> int:
+@lru_cache(maxsize=4096)
+def _mask_sum(p: int, n: int, fa: int, fb: int, sign: int) -> int:
+    """{i + j : i in fa, j in fb} (i - j when sign < 0) as a bitset over
+    F_p^n."""
+    space = vspace(p, n)
     table = space.add if sign > 0 else space.sub
     out = 0
     for i in _iter_bits(fa):
@@ -157,7 +161,7 @@ def sumset_word(a: SingleSet, word: str) -> SingleSet:
     signs = [1 if s == "+" else -1 for s in word[::2]]
     acc = a.indicator if signs[0] > 0 else _mask_neg(space, a.indicator)
     for s in signs[1:]:
-        acc = _mask_sum(space, acc, a.indicator, s)
+        acc = _mask_sum(a.p, a.n, acc, a.indicator, s)
     return SingleSet(a.p, a.n, acc)
 
 
@@ -298,17 +302,15 @@ def dir_sum(a: PairSet, b: PairSet, direction: str, sign=1) -> PairSet:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     m1 = a.p**a.n1
     if direction == VERTICAL:
-        space = vspace(a.p, a.n2)
         fa, fb = a.vertical_fibers(), b.vertical_fibers()
-        out = [_mask_sum(space, x, y, sgn) if x and y else 0 for x, y in zip(fa, fb)]
+        out = [_mask_sum(a.p, a.n2, x, y, sgn) if x and y else 0 for x, y in zip(fa, fb)]
         return a._replace(_scatter_vertical(out, m1))
     if direction == HORIZONTAL:
-        space = vspace(a.p, a.n1)
         fa, fb = a.horizontal_fibers(), b.horizontal_fibers()
         mask = 0
         for y, (x1, x2) in enumerate(zip(fa, fb)):
             if x1 and x2:
-                mask |= _mask_sum(space, x1, x2, sgn) << (y * m1)
+                mask |= _mask_sum(a.p, a.n1, x1, x2, sgn) << (y * m1)
         return a._replace(mask)
     raise ValueError(f"direction must be 'V' or 'H', got {direction!r}")
 

@@ -68,6 +68,26 @@ def test_sigma_span_set_size():
         assert a.size == p**n + (p**n - 1) * p
 
 
+def build_P_sigma_reference(sigma):
+    """{0} x V2 and Span(x) x Span(sigma([x])), pair by pair."""
+    p, n1, n2 = sigma.p, sigma.n_dom, sigma.n_cod
+    m1 = p**n1
+    pairs = [(0, y) for y in range(p**n2)]
+    for pt in proj_enumerate(p, n1):
+        img = sigma.image_of(pt).vector()
+        for lam in range(1, p):
+            x = pt.vector().scale(lam).index
+            pairs += [(x, img.scale(mu).index) for mu in range(p)]
+    return sum({1 << (x + m1 * y) for x, y in pairs})
+
+
+def test_sigma_columns_match_per_pair_reference():
+    for p, n in ((2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4)):
+        for seed in range(6):
+            sigma = random_sigma(p, n, seed)
+            assert build_P_sigma(sigma).indicator == build_P_sigma_reference(sigma)
+
+
 def identity_bijection(p, n):
     from transverse.fpcore import proj_enumerate
 
@@ -168,6 +188,15 @@ def test_xi_non_projective_has_trivial_annihilator():
     v = is_bilinear(a)
     assert v.status == "non_bilinear"
     assert v.r3 == 0  # no nonzero form vanishes on the whole set
+
+
+def test_image_of_rejects_points_of_another_space():
+    s = sigma_fig2()
+    for other in (proj_enumerate(3, 2)[1], proj_enumerate(2, 2)[1], proj_enumerate(3, 3)[0],
+                  proj_enumerate(2, 4)[0]):
+        with pytest.raises(ValueError, match="not in the domain"):
+            s.image_of(other)
+    assert [s.image_of(pt).index for pt in proj_enumerate(2, 3)] == [1, 2, 3, 4, 6, 7, 5]
 
 
 def test_bijection_validation():

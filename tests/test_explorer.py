@@ -45,6 +45,29 @@ def test_perm_rank_roundtrip():
         assert perm_rank(perm) == r
 
 
+def test_perm_successor_is_the_next_rank():
+    for n in range(1, 8):
+        total = _factorial(n)
+        for r in range(total - 1):
+            a = list(perm_unrank(r, n))
+            explorer._next_perm(a)
+            assert tuple(a) == perm_unrank(r + 1, n)
+        with pytest.raises(ValueError, match="no successor"):
+            explorer._next_perm(list(perm_unrank(total - 1, n)))
+
+
+def test_perm_ranges_split_at_any_rank_agree():
+    for n in range(1, 6):
+        total = _factorial(n)
+        whole = [perm_unrank(r, n) for r in range(total)]
+        assert list(explorer._perm_range(0, total, n)) == whole
+        for lo in range(total + 1):
+            head = list(explorer._perm_range(0, lo, n))
+            assert head + list(explorer._perm_range(lo, total, n)) == whole
+    assert list(explorer._perm_range(3, 3, 4)) == []
+    assert list(explorer._perm_range(5000, 5040, 7)) == [perm_unrank(r, 7) for r in range(5000, 5040)]
+
+
 def _factorial(n):
     out = 1
     for k in range(2, n + 1):

@@ -212,3 +212,9 @@ def test_transversality_caches_are_bounded():
     from transverse.pairsets import _column_is_subspace
 
     assert _column_is_subspace.cache_parameters()["maxsize"] is not None
+
+
+def test_mask_sum_cache_is_bounded():
+    from transverse.pairsets import _mask_sum
+
+    assert _mask_sum.cache_parameters()["maxsize"] is not None

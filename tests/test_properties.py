@@ -1,10 +1,13 @@
 """Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
 (the span_closure and form_zero_mask families add (5,2); the fiber_oracle
 family adds (5,2) and the non-square shapes (2,1,3), (3,3,2) and (7,1,2)).
-The three table-driven oracles are checked against the loops they replaced:
-transversality on column masks against the per-bit fiber walk, projective
-recognition from the frame table against the per-class check, and the XOR
-elimination at p = 2 against the list elimination.
+The table-driven and word-level kernels are checked against the loops they
+replaced: transversality on column masks against the per-bit fiber walk,
+projective recognition from the frame table against the per-class check, the
+XOR elimination at p = 2 against the list elimination, S(A) packed from outer
+product to check forms at p = 2 against the list path (_fiber_span,
+_check_forms), and the fiber-map DFS on running per-line masks against the
+pairwise rescan of every line.
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -15,14 +18,26 @@ import time
 from functools import lru_cache
 from itertools import permutations
 
-from transverse.bilinear import _form_zero_mask, ann, closure, is_bilinear, orth
+from transverse.bilinear import (
+    _check_forms,
+    _fiber_span,
+    _form_zero_mask,
+    _span_gf2,
+    _unpack,
+    ann,
+    closure,
+    is_bilinear,
+    orth,
+)
 from transverse.constructions import ProjBijection, build_P_sigma, random_sigma
-from transverse.detrng import SplitMix64
+from transverse.detrng import SplitMix64, exchange_shuffle
+from transverse.explorer import _fiber_maps, perm_unrank
 from transverse.fpcore import (
     MatP,
     ProjPoint,
     Subspace,
     VecP,
+    all_subspaces,
     decode,
     encode,
     proj_enumerate,
@@ -32,6 +47,7 @@ from transverse.fpcore import (
 )
 from transverse.pairsets import (
     PairSet,
+    _fiber_read,
     _iter_bits,
     _span_mask,
     dir_sum,
@@ -40,7 +56,8 @@ from transverse.pairsets import (
     projections,
     transversality_violation,
 )
-from transverse.projgeom import recognize_projective
+from transverse.pairsets import subspace_mask
+from transverse.projgeom import line_structure, recognize_projective
 
 SHAPES = ((2, 2), (3, 2), (2, 3))
 
@@ -58,6 +75,10 @@ COUNTS = {
     # every permutation at (2,2), (3,2), (2,3) and (5,2), then random maps
     "recognition_oracle": 6 + 24 + 5_040 + 720 + 2_400,
     "rref_gf2": 3000,
+    # every spans key at (2,2,2) twice, every P_sigma at (2,3), then random sets
+    "span_gf2": 2 * 125 + 5_040 + 2_000,
+    # classification options at four shapes, then random option lists
+    "line_masks": 4 + 5 + 8 + 7 + 60,
 }
 
 
@@ -256,6 +277,64 @@ def reference_rref(rows, p):
         pivots.append(j)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order], sorted(pivots)
+
+
+# ------------------------------------- list reference of the F_2 closure
+
+
+def reference_gf2_closure(a):
+    """(w1, w2, span, check forms, closed) of a set over F_2 on the list
+    path: S(A) by _fiber_span, one check form per free column by
+    _check_forms, and W1 x W2 cut by each form's zero set."""
+    p, n1, n2 = a.p, a.n1, a.n2
+    pi1, pi2, unions = _fiber_read(a)
+    w1 = _span_mask(p, n1, pi1)
+    w2 = _span_mask(p, n2, pi2)
+    spans = tuple(_span_mask(p, n1, u) for u in unions)
+    basis = _fiber_span(p, n1, n2, spans)
+    checks = _check_forms(p, n1, n2, basis)
+    closed = 0
+    for y in _iter_bits(w2):
+        closed |= w1 << (p**n1 * y)
+    for h in checks:
+        closed &= _form_zero_mask(p, n1, n2, h)
+    return pi1, pi2, w1, w2, spans, basis, checks, closed
+
+
+# ------------------------------------- pairwise reference of the fiber DFS
+
+
+def reference_fiber_maps(f0, options, lines, k, leaf):
+    """The fiber-map DFS that rescans, for each placed class j, every pair
+    of placed classes on every line through j."""
+    lines_with = [[ids for ids in lines if j in ids] for j in range(k)]
+    fibers = [0] * k
+
+    def descend(j):
+        if j == k:
+            leaf(fibers)
+            return
+        for fm in options:
+            if fm & ~f0:
+                continue
+            fibers[j] = fm
+            ok = True
+            for ids in lines_with[j]:
+                placed = [c for c in ids if c <= j]
+                for ai in range(len(placed)):
+                    for bi in range(ai + 1, len(placed)):
+                        inter = fibers[placed[ai]] & fibers[placed[bi]]
+                        if any(inter & ~fibers[c] for c in placed):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if ok:
+                descend(j + 1)
+
+    descend(0)
 
 
 def random_pairset(rng, p, n, max_points):
@@ -465,6 +544,108 @@ def family_rref_gf2(cases, seed=111):
     return cases
 
 
+def span_gf2_cases(rng):
+    """Every spans key at (2,2,2), placed on the class representatives
+    alone and again under a full fiber over y = 0; every P_sigma at (2,3);
+    then random and fiber-map sets at (2,2,4), (2,3,3), (2,1,3) and
+    (2,4,2)."""
+    # an empty fiber stands for the zero subspace: both span to {0}
+    subs = [0] + [subspace_mask(s) for s in all_subspaces(2, 2)[1:]]
+    for extra in (0, 0b1111):
+        for key in range(len(subs) ** 3):
+            mask = extra
+            for y in range(1, 4):
+                mask |= subs[key // len(subs) ** (y - 1) % len(subs)] << 4 * y
+            yield PairSet(2, 2, 2, mask)
+    pts = proj_enumerate(2, 3)
+    for r in range(5040):
+        yield build_P_sigma(ProjBijection(2, 3, 3, tuple(pts[i] for i in perm_unrank(r, 7))))
+    shapes = ((2, 2, 4), (2, 3, 3), (2, 1, 3), (2, 4, 2))
+    k = 0
+    while True:
+        _, n1, n2 = shapes[k % len(shapes)]
+        if k // len(shapes) % 2:
+            mask = random_fiber_map_set(rng, 2, n1, n2)
+        else:
+            mask = 0
+            for _ in range(rng.below(2 ** (n1 + n2)) + 1):
+                mask |= 1 << rng.below(2 ** (n1 + n2))
+        yield PairSet(2, n1, n2, mask)
+        k += 1
+
+
+def family_span_gf2(cases, seed=112):
+    """At p = 2, S(A) packed from outer product to check forms equals the
+    list path: the span, the check forms, the closure and every verdict
+    field."""
+    rng = SplitMix64(seed)
+    statuses = set()
+    ncheck = set()
+    for _, a in zip(range(cases), span_gf2_cases(rng)):
+        pi1, pi2, w1, w2, spans, basis, checks, closed = reference_gf2_closure(a)
+        width = a.n1 * a.n2
+        rows, packed_checks = _span_gf2(a.n1, a.n2, spans)
+        assert tuple(_unpack(r, width) for r in rows) == basis
+        assert [_unpack(h, width) for h in packed_checks] == checks
+        c = closure(a)
+        assert (c.span, c.closed.indicator) == (basis, closed)
+        v = is_bilinear(a)
+        status = "empty" if not a.indicator else (
+            "bilinear" if pi1 == w1 and pi2 == w2 and closed == a.indicator else "non_bilinear")
+        axis = None if status != "non_bilinear" else (
+            "first" if pi1 != w1 else "second" if pi2 != w2 else None)
+        extra = closed & ~a.indicator
+        witness = None
+        if extra and status == "non_bilinear":
+            i = (extra & -extra).bit_length() - 1
+            witness = (i % 2**a.n1, i // 2**a.n1)
+        assert (v.status, subspace_mask(v.w1), subspace_mask(v.w2), v.span,
+                v.closed.indicator, v.witness, v.non_subspace_axis, v.r3) == (
+            status, w1, w2, basis, closed, witness, axis,
+            v.w1.dim * v.w2.dim - len(basis))
+        statuses.add(status)
+        ncheck.add(min(len(checks), 2))
+    assert statuses == {"empty", "bilinear", "non_bilinear"}, statuses
+    assert ncheck == {0, 1, 2}, ncheck
+    return cases
+
+
+def line_mask_cases(rng):
+    """(p, n, f0, options): the classification options ([full] and the
+    hyperplanes) under every f0 at (2,2), (3,2), (2,3) and (5,2), then
+    random shuffled lists of up to five subspaces at (2,2), (3,2) and (2,3)
+    under a random f0."""
+    for p, n in ((2, 2), (3, 2), (2, 3), (5, 2)):
+        full = (1 << p**n) - 1
+        options = [full] + [subspace_mask(h) for h in all_subspaces(p, n, dim=n - 1)]
+        for f0 in options:
+            yield p, n, f0, options
+    k = 0
+    while True:
+        p, n = SHAPES[k % 3]
+        subs = [subspace_mask(s) for s in all_subspaces(p, n)]
+        exchange_shuffle(subs, rng)
+        yield p, n, subs[-1], subs[:rng.below(5) + 1]
+        k += 1
+
+
+def family_line_masks(cases, seed=113):
+    """The fiber-map DFS on running per-line masks visits the same leaves,
+    in the same order, as the pairwise rescan of every line."""
+    rng = SplitMix64(seed)
+    leaves = 0
+    for _, (p, n, f0, options) in zip(range(cases), line_mask_cases(rng)):
+        lines, _ = line_structure(p, n)
+        k = len(vspace(p, n).proj_reps)
+        got, want = [], []
+        _fiber_maps(f0, options, lines, k, lambda fibers: got.append(tuple(fibers)))
+        reference_fiber_maps(f0, options, lines, k, lambda fibers: want.append(tuple(fibers)))
+        assert got == want, (p, n, f0, options)
+        leaves += len(got)
+    assert leaves > 1000, leaves
+    return cases
+
+
 def family_form_zero_mask(cases, seed=107):
     """The zero-set table of one form is the set of pairs on which the form,
     evaluated directly on their outer products, vanishes."""
@@ -542,6 +723,8 @@ FAMILIES = {
     "transversality_oracle": family_transversality_oracle,
     "recognition_oracle": family_recognition_oracle,
     "rref_gf2": family_rref_gf2,
+    "span_gf2": family_span_gf2,
+    "line_masks": family_line_masks,
 }
 
 
@@ -599,3 +782,11 @@ def test_family_recognition_oracle():
 
 def test_family_rref_gf2():
     assert family_rref_gf2(COUNTS["rref_gf2"]) == COUNTS["rref_gf2"]
+
+
+def test_family_span_gf2():
+    assert family_span_gf2(COUNTS["span_gf2"]) == COUNTS["span_gf2"]
+
+
+def test_family_line_masks():
+    assert family_line_masks(COUNTS["line_masks"]) == COUNTS["line_masks"]
