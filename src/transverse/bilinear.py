@@ -273,19 +273,23 @@ def _check_forms(p: int, n1: int, n2: int, span: tuple) -> list:
 @lru_cache(maxsize=4096)
 def _form_zero_mask(p: int, n1: int, n2: int, flat: tuple) -> int:
     """Indicator of the ambient zero set {(x, y) : x^T Q y = 0} of one form,
-    given flattened row-major.  For fixed y the form is a functional on x,
-    so each row of pairs is the kernel of that functional, shifted into
-    place."""
+    given flattened row-major.  For fixed y the form is the functional
+    u(y) = Q y on x, so each row of pairs is the kernel of u(y), shifted
+    into place.  u is built additively over the digits of y: for y of top
+    digit j, u(y) = u(y - p**j) + Q e_j, one lookup in the addition table."""
     kernel = _kernel_masks(p, n1)
-    rows = [flat[i * n2 : (i + 1) * n2] for i in range(n1)]
+    add = vspace(p, n1).add
+    u = [0]
+    for j in range(n2):
+        col = encode([flat[i * n2 + j] for i in range(n1)], p)  # Q e_j
+        block = u
+        for _ in range(1, p):
+            block = [add[v][col] for v in block]
+            u = u + block
     m1 = p**n1
     out = 0
-    for y in range(p**n2):
-        yc = decode(y, p, n2)
-        u = 0
-        for r in reversed(rows):
-            u = u * p + sum(c * b for c, b in zip(r, yc)) % p
-        out |= kernel[u] << (m1 * y)
+    for y, v in enumerate(u):
+        out |= kernel[v] << (m1 * y)
     return out
 
 

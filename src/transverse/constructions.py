@@ -52,6 +52,8 @@ class ProjBijection:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
+        if self.n_dom < 1 or self.n_cod < 1:
+            raise ValueError(f"dimensions must be at least 1, got {self.n_dom}, {self.n_cod}")
         npts = len(vspace(self.p, self.n_dom).proj_reps)
         if len(self.images) != npts:
             raise ValueError(f"need {npts} images, got {len(self.images)}")
@@ -125,17 +127,33 @@ def sigma_fig2() -> ProjBijection:
 def build_P_sigma(sigma: ProjBijection, override_cap: bool = False) -> PairSet:
     """Span set of a projective map: {0} x V2 together with
     Span(x) x Span(sigma([x])) for every projective class [x]."""
-    p = sigma.p
-    n1, n2 = sigma.n_dom, sigma.n_cod
+    p, n1, n2 = sigma.p, sigma.n_dom, sigma.n_cod
     check_cap(p ** (n1 + n2), override_cap, "pair space")
+    cod = vspace(p, n2).class_of
+    return PairSet(p, n1, n2, _sigma_mask(p, n1, n2, tuple(cod[pt.index] for pt in sigma.images)))
+
+
+def _sigma_mask(p: int, n1: int, n2: int, images: tuple[int, ...]) -> int:
+    """Indicator of the span set of the map whose image class table is
+    `images` (images[c] the class of P(F_p^n2) that class c of P(F_p^n1)
+    goes to): the column of {0} x V2, then one cell per domain class."""
+    mask = _column_mask(p**n1, p**n2)
+    for c, d in enumerate(images):
+        mask |= _sigma_cell(p, n1, n2, c, d)
+    return mask
+
+
+@lru_cache(maxsize=256)
+def _sigma_cell(p: int, n1: int, n2: int, c: int, d: int) -> int:
+    """Pair-space bits of Span(x) x Span(v) over the members x of domain
+    class c, v the representative of codomain class d: the column of
+    Span(v) shifted by each x."""
     m1 = p**n1
-    class_members = vspace(p, n1).class_members
-    mask = _column_mask(m1, p**n2)
-    for cid, img in enumerate(sigma.images):
-        col = _span_column(p, m1, n2, img.index)
-        for x in class_members[cid]:
-            mask |= col << x
-    return PairSet(p, n1, n2, mask)
+    col = _span_column(p, m1, n2, vspace(p, n2).proj_reps[d])
+    cell = 0
+    for x in vspace(p, n1).class_members[c]:
+        cell |= col << x
+    return cell
 
 
 @lru_cache(maxsize=1024)
@@ -149,6 +167,8 @@ def _span_column(p: int, m1: int, n2: int, index: int) -> int:
 def random_sigma(p: int, n: int, seed: int) -> ProjBijection:
     """Seeded random permutation of P(F_p^n) via the pinned splitmix64
     stream and exchange shuffle; the same seed always gives the same map."""
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
     pts = proj_enumerate(p, n)
     perm = list(range(len(pts)))
     exchange_shuffle(perm, SplitMix64(seed))
@@ -170,28 +190,45 @@ def build_P_xi(
     hyperplane orthogonal to the image of the class of x mod w.
     """
     p = xi_prime.p
+    _check_xi_spaces(p, w, l, xi_prime.n_dom, xi_prime.n_cod)
+    for pt in xi_prime.images:
+        if not l.member(pt.vector()):
+            raise ValueError("xi_prime image lies outside l")
+    n1, n2 = w.ambient, l.ambient
+    check_cap(p ** (n1 + n2), override_cap, "pair space")
+    cod = vspace(p, n2).class_of
+    return PairSet(p, n1, n2, _xi_mask(w, n2, tuple(cod[pt.index] for pt in xi_prime.images)))
+
+
+def _check_xi_spaces(p: int, w: Subspace, l: Subspace, n_dom: int, n_cod: int) -> None:
+    """The checks of build_P_xi that do not read the images: both
+    subspaces over F_p, w of codimension 2, l of dimension 2, and a map
+    from a projective line into the ambient of l."""
     if w.p != p or l.p != p:
         raise ValueError("field mismatch")
     if w.codim != 2:
         raise ValueError(f"w must have codimension 2, got {w.codim}")
     if l.dim != 2:
         raise ValueError(f"l must be 2-dimensional, got dim {l.dim}")
-    if xi_prime.n_dom != 2 or xi_prime.n_cod != l.ambient:
+    if n_dom != 2 or n_cod != l.ambient:
         raise ValueError("xi_prime must map a projective line into the ambient of l")
-    for pt in xi_prime.images:
-        if not l.member(pt.vector()):
-            raise ValueError("xi_prime image lies outside l")
-    n1, n2 = w.ambient, l.ambient
-    check_cap(p ** (n1 + n2), override_cap, "pair space")
-    m1 = p**n1
-    # fiber columns: index 0 (x in w) is the full space, since every y is
-    # orthogonal to the zero vector
+
+
+def _xi_mask(w: Subspace, n2: int, images: tuple[int, ...]) -> int:
+    """Indicator of the hyperplane-fiber set over w whose line bijection has
+    the image class table `images` (classes of P(F_p^n2)): over each x the
+    column orthogonal to the image of the class of x mod w, the full column
+    over x in w."""
+    p = w.p
+    m1 = p**w.ambient
+    reps = vspace(p, n2).proj_reps
+    # index 0 (x in w) is the full space, since every y is orthogonal to 0
     cols = [_orthogonal_column(p, m1, n2, 0)]
-    cols += [_orthogonal_column(p, m1, n2, pt.index) for pt in xi_prime.images]
+    cols += [_orthogonal_column(p, m1, n2, reps[d]) for d in images]
     mask = 0
     for x, cid in enumerate(_quotient_classes(w)):
         mask |= cols[cid + 1] << x
-    return PairSet(p, n1, n2, mask)
+    return mask
 
 
 @lru_cache(maxsize=64)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .fpcore import is_prime
 
 __all__ = [
@@ -108,6 +106,8 @@ def inequality_check(p: int, n: int, mode: str = "stirling") -> bool:
         return lhs > rhs
     if mode == "exact_factorial":
         return 15**2 * math.factorial(m) ** 2 > 32**2 * p ** (n**4)
+    import mpmath  # only this settling step needs it; importing it costs every command
+
     with mpmath.workdps(60):
         lhs_hp = m * ((n - 1) * mpmath.log(p) - 1)
         rhs_hp = mpmath.log(mpmath.mpf(32) / 15) + mpmath.mpf(n**4) / 2 * mpmath.log(p)

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .bilinear import FormSpace, _check_forms, _form_zero_mask, is_bilinear, orth
-from .constructions import ProjBijection, build_P_sigma, build_P_xi
+from .constructions import _check_xi_spaces, _sigma_mask, _xi_mask
 from .detrng import SplitMix64, exchange_shuffle
 from .fpcore import (
     CapExceeded,
@@ -42,7 +42,6 @@ from .fpcore import (
     check_cap,
     decode,
     is_prime,
-    proj_enumerate,
     vspace,
 )
 from .pairsets import (
@@ -57,8 +56,8 @@ from .projgeom import (
     _first_failing_line,
     _line_condition,
     _line_tables,
+    _recognize_table,
     line_structure,
-    recognize_projective,
 )
 
 __all__ = [
@@ -500,9 +499,10 @@ def classify_hyperplane_fibers(
 
 
 def _sigma_range(args: tuple, lo: int, hi: int):
+    """Each rank's permutation is the image class table of sigma: it goes
+    straight to the span-set and recognition cores, with no map object."""
     p, n, tables = args
-    pts = proj_enumerate(p, n)
-    k = len(pts)
+    k = _npoints(p, n)
     counts = {
         "candidates": hi - lo,
         "non_bilinear": 0,
@@ -513,10 +513,9 @@ def _sigma_range(args: tuple, lo: int, hi: int):
     witnesses = []
     ranked = tables[lo:hi] if tables is not None else _perm_range(lo, hi, k)
     for rank, table in zip(range(lo, hi), ranked):
-        sigma = ProjBijection(p, n, n, tuple(pts[i] for i in table))
-        verdict = is_bilinear(build_P_sigma(sigma))
+        verdict = is_bilinear(PairSet(p, n, n, _sigma_mask(p, n, n, table)))
         hit = verdict.status == "non_bilinear"
-        projective = recognize_projective(sigma) is not None
+        projective = _recognize_table(p, n, n, table) is not None
         counts["non_bilinear" if hit else "bilinear"] += 1
         counts["projective"] += projective
         if projective and hit:
@@ -639,8 +638,7 @@ def verify_collineation_lemma(
 
 def _fundamental_range(args: tuple, lo: int, hi: int):
     p, n = args
-    pts = proj_enumerate(p, n)
-    k = len(pts)
+    k = _npoints(p, n)
     counts = {
         "permutations": hi - lo,
         "line_preserving": 0,
@@ -650,8 +648,7 @@ def _fundamental_range(args: tuple, lo: int, hi: int):
     witnesses = []
     for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
         preserving = _line_condition(p, n, n, table)
-        images = tuple(pts[i] for i in table)
-        projective = recognize_projective(ProjBijection(p, n, n, images)) is not None
+        projective = _recognize_table(p, n, n, table) is not None
         counts["line_preserving"] += preserving
         counts["projective"] += projective
         if preserving != projective:
@@ -678,10 +675,10 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
 
 def _xi_range(args: tuple, lo: int, hi: int):
     (p,) = args
-    pts = proj_enumerate(p, 2)
-    k = len(pts)
+    k = _npoints(p, 2)
     w = Subspace.zero(p, 2)
-    line = Subspace.full(p, 2)
+    # l = F_p^2 holds every image, so build_P_xi's image check is void here
+    _check_xi_spaces(p, w, Subspace.full(p, 2), 2, 2)
     counts = {
         "bijections": hi - lo,
         "projective": 0,
@@ -693,10 +690,9 @@ def _xi_range(args: tuple, lo: int, hi: int):
     }
     witnesses = []
     for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
-        xi = ProjBijection(p, 2, 2, tuple(pts[i] for i in table))
-        verdict = is_bilinear(build_P_xi(w, line, xi))
+        verdict = is_bilinear(PairSet(p, 2, 2, _xi_mask(w, 2, table)))
         bilinear = verdict.status == "bilinear"
-        if recognize_projective(xi) is not None:
+        if _recognize_table(p, 2, 2, table) is not None:
             counts["projective"] += 1
             counts["projective_bilinear"] += bilinear
             if not bilinear:

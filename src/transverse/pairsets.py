@@ -136,11 +136,10 @@ def _mask_sum(p: int, n: int, fa: int, fb: int, sign: int) -> int:
     F_p^n."""
     space = vspace(p, n)
     table = space.add if sign > 0 else space.sub
+    js = list(_iter_bits(fb))
     out = 0
-    for i in _iter_bits(fa):
-        row = table[i]
-        for j in _iter_bits(fb):
-            out |= 1 << row[j]
+    for v in {table[i][j] for i in _iter_bits(fa) for j in js}:
+        out |= 1 << v
     return out
 
 
@@ -269,25 +268,16 @@ class PairSet:
 
     # -- fibers -------------------------------------------------------------
     def vertical_fibers(self) -> list[int]:
-        """Bitset over y-indices for each x index (fiber of the map x -> A_x)."""
+        """Bitset over y-indices for each x index (fiber of the map x -> A_x),
+        read as the column (A >> x) & C0."""
         m1 = self.p**self.n1
-        fibers = [0] * m1
-        for i in _iter_bits(self.indicator):
-            fibers[i % m1] |= 1 << i // m1
-        return fibers
+        c0 = _column_mask(m1, self.p**self.n2)
+        return [_column_bits(self.indicator >> x & c0, m1) for x in range(m1)]
 
     def horizontal_fibers(self) -> list[int]:
         m1, m2 = self.p**self.n1, self.p**self.n2
         low = (1 << m1) - 1
         return [(self.indicator >> (y * m1)) & low for y in range(m2)]
-
-
-def _scatter_vertical(fibers: list[int], m1: int) -> int:
-    out = 0
-    for x, f in enumerate(fibers):
-        for y in _iter_bits(f):
-            out |= 1 << (x + m1 * y)
-    return out
 
 
 def dir_sum(a: PairSet, b: PairSet, direction: str, sign=1) -> PairSet:
@@ -302,9 +292,18 @@ def dir_sum(a: PairSet, b: PairSet, direction: str, sign=1) -> PairSet:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     m1 = a.p**a.n1
     if direction == VERTICAL:
-        fa, fb = a.vertical_fibers(), b.vertical_fibers()
-        out = [_mask_sum(a.p, a.n2, x, y, sgn) if x and y else 0 for x, y in zip(fa, fb)]
-        return a._replace(_scatter_vertical(out, m1))
+        # the fiber over x is the column (A >> x) & C0; the memo keys on it
+        # as a bitset over y, and the sum goes back as a column
+        c0 = _column_mask(m1, a.p**a.n2)
+        ia, ib = a.indicator, b.indicator
+        mask = 0
+        for x in range(m1):
+            ca = ia >> x & c0
+            cb = ib >> x & c0 if ca else 0
+            if cb:
+                f = _mask_sum(a.p, a.n2, _column_bits(ca, m1), _column_bits(cb, m1), sgn)
+                mask |= _bits_column(f, m1) << x
+        return a._replace(mask)
     if direction == HORIZONTAL:
         fa, fb = a.horizontal_fibers(), b.horizontal_fibers()
         mask = 0
@@ -346,18 +345,31 @@ def _fiber_read(a: PairSet) -> tuple[int, int, list[int]]:
     """One pass over the horizontal fibers A^y = {x : (x, y) in A}: the
     bitsets of the two projections (pi1 is the union of the fibers, pi2 the
     y with a nonempty fiber) and, per projective class c of the second
-    factor, the union U_c of the fibers over the members of c."""
-    sp2 = vspace(a.p, a.n2)
-    class_of = sp2.class_of
-    pi1 = pi2 = 0
-    unions = [0] * len(sp2.proj_reps)
-    for y, f in enumerate(a.horizontal_fibers()):
+    factor, the union U_c of the fibers over the members of c.  The fiber
+    over y is the low m1 bits of A >> m1 * y."""
+    m1, low, class_of, k = _fiber_shape(a.p, a.n1, a.n2)
+    ind = a.indicator
+    pi1 = ind & low
+    pi2 = 1 if pi1 else 0
+    unions = [0] * k
+    ind >>= m1
+    y = 1
+    while ind:
+        f = ind & low
         if f:
             pi1 |= f
             pi2 |= 1 << y
-            if y:
-                unions[class_of[y]] |= f
+            unions[class_of[y]] |= f
+        ind >>= m1
+        y += 1
     return pi1, pi2, unions
+
+
+@lru_cache(maxsize=None)
+def _fiber_shape(p: int, n1: int, n2: int) -> tuple:
+    """(p**n1, low mask of one fiber, class_of of F_p^n2, class count)."""
+    sp2 = vspace(p, n2)
+    return p**n1, (1 << p**n1) - 1, sp2.class_of, len(sp2.proj_reps)
 
 
 def projections(a: PairSet) -> tuple[SingleSet, SingleSet]:
@@ -456,6 +468,14 @@ def _column_bits(col: int, m1: int) -> int:
     for i in _iter_bits(col):
         f |= 1 << i // m1
     return f
+
+
+def _bits_column(f: int, m1: int) -> int:
+    """A bitset over y as a column: bit m1 * y for each member y."""
+    col = 0
+    for y in _iter_bits(f):
+        col |= 1 << m1 * y
+    return col
 
 
 def _sum_witness(p: int, n: int, f: int):

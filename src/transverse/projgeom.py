@@ -145,23 +145,31 @@ def is_line_preserving(m) -> bool:
 def recognize_projective(m) -> MatP | None:
     """The matrix (up to scalar, normalized so its first nonzero entry is 1)
     of a linear map inducing the ProjBijection m, or None when m is not
-    projective.
+    projective."""
+    return _recognize_table(m.p, m.n_dom, m.n_cod, _image_class_table(m))
+
+
+def _recognize_table(p: int, nd: int, nc: int, images: tuple[int, ...]) -> MatP | None:
+    """recognize_projective on an image class table: images[c] is the
+    codomain class of the image of domain class c.
 
     The candidate matrix depends only on the frame: the image classes of
     the basis classes and of the all-ones class.  `_frame_candidate` builds
     it once per frame, with the class table it induces, so a call compares
-    the map's image class table with the cached one as a single tuple.
+    the table with the cached one as a single tuple.
     """
-    p, nd = m.p, m.n_dom
-    class_of = vspace(p, nd).class_of
-    images = _image_class_table(m)
-    # basis vectors e_i have index p**i, the all-ones vector (p**nd - 1) / (p - 1)
-    frame = tuple(images[class_of[p**i]] for i in range(nd))
-    frame += (images[class_of[(p**nd - 1) // (p - 1)]],)
-    found = _frame_candidate(p, nd, m.n_cod, frame)
+    found = _frame_candidate(p, nd, nc, tuple(images[c] for c in _frame_classes(p, nd)))
     if found is None or found[0] != images:
         return None
     return found[1]
+
+
+@lru_cache(maxsize=None)
+def _frame_classes(p: int, nd: int) -> tuple[int, ...]:
+    """Class ids of the basis vectors e_i (index p**i) and of the all-ones
+    vector (index (p**nd - 1) / (p - 1))."""
+    class_of = vspace(p, nd).class_of
+    return tuple(class_of[p**i] for i in range(nd)) + (class_of[(p**nd - 1) // (p - 1)],)
 
 
 @lru_cache(maxsize=4096)

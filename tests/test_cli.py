@@ -3,6 +3,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -149,6 +151,27 @@ def test_cli_seeded_constructions(tmp_path):
     assert open(one).read() == open(two).read()
     assert run(["construct", "p-xi", "--p", "5", "--seed", "1", "--out", one]) == 0
     assert read_set(one).size == 145
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_construct_with_a_bad_dimension_is_a_usage_error(n, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["construct", "p-sigma", "--p", "2", "--n", n, "--seed", "1",
+                "--out", str(out)]) == 2
+    assert "dimension must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = ("import sys, transverse.cli; print('mpmath' in sys.modules); "
+            "sys.exit(transverse.cli.run(['verify', 'counting']))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "VERIFIED counting"
 
 
 def test_cli_verify_counting(tmp_path):

@@ -82,7 +82,7 @@ def build_P_sigma_reference(sigma):
 
 
 def test_sigma_columns_match_per_pair_reference():
-    for p, n in ((2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4)):
+    for p, n in ((2, 2), (3, 2), (2, 3), (5, 2), (3, 3), (2, 4), (2, 7)):
         for seed in range(6):
             sigma = random_sigma(p, n, seed)
             assert build_P_sigma(sigma).indicator == build_P_sigma_reference(sigma)
@@ -200,6 +200,11 @@ def test_image_of_rejects_points_of_another_space():
 
 
 def test_bijection_validation():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            random_sigma(2, n, seed=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        ProjBijection(2, 0, 0, ())
     with pytest.raises(ValueError):
         ProjBijection.from_index_table(2, 3, 3, (0, 0, 1, 2, 3, 4, 5))  # not injective
     with pytest.raises(ValueError):

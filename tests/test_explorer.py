@@ -366,6 +366,21 @@ def test_xi_sweep_p5():
     assert c["violations"] == 0
 
 
+def test_permutation_sweeps_build_no_map_object(monkeypatch):
+    """The sigma, fundamental and xi sweeps hand each rank's class table to
+    the table cores; a ProjBijection that refuses to be built stops none
+    of them."""
+    from transverse.constructions import ProjBijection
+
+    def refuse(self):
+        raise AssertionError("a sweep built a ProjBijection")
+
+    monkeypatch.setattr(ProjBijection, "__post_init__", refuse)
+    assert search_sigma(2, 2, jobs=1).counts["projective"] == 6
+    assert fundamental_sweep(2, 3, jobs=1).counts["line_preserving"] == 168
+    assert xi_line_sweep(3, jobs=1).counts["projective_bilinear"] == 24
+
+
 def test_bogolyubov_explore_finds_structure():
     rng = SplitMix64(52)
     for _ in range(10):

@@ -1,13 +1,16 @@
 """Seeded randomized property families over (p, n) in {(2,2), (3,2), (2,3)}
-(the span_closure and form_zero_mask families add (5,2); the fiber_oracle
-family adds (5,2) and the non-square shapes (2,1,3), (3,3,2) and (7,1,2)).
+(the span_closure family adds (5,2); the fiber_oracle and dir_sum_oracle
+families add (5,2) and non-square shapes such as (2,1,3), (3,3,2) and
+(7,1,2); form_zero_mask adds (5,2), (7,1,2), (3,3,3) and (2,4,2)).
 The table-driven and word-level kernels are checked against the loops they
 replaced: transversality on column masks against the per-bit fiber walk,
 projective recognition from the frame table against the per-class check, the
 XOR elimination at p = 2 against the list elimination, S(A) packed from outer
 product to check forms at p = 2 against the list path (_fiber_span,
-_check_forms), and the fiber-map DFS on running per-line masks against the
-pairwise rescan of every line.
+_check_forms), the fiber-map DFS on running per-line masks against the
+pairwise rescan of every line, the span-set and P_xi cores on class tables
+against the per-pair and per-x constructions, and the vertical sumset on
+columns against the pair-by-pair sum.
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -29,7 +32,13 @@ from transverse.bilinear import (
     is_bilinear,
     orth,
 )
-from transverse.constructions import ProjBijection, build_P_sigma, random_sigma
+from transverse.constructions import (
+    ProjBijection,
+    _sigma_mask,
+    _xi_mask,
+    build_P_sigma,
+    random_sigma,
+)
 from transverse.detrng import SplitMix64, exchange_shuffle
 from transverse.explorer import _fiber_maps, perm_unrank
 from transverse.fpcore import (
@@ -57,15 +66,21 @@ from transverse.pairsets import (
     transversality_violation,
 )
 from transverse.pairsets import subspace_mask
-from transverse.projgeom import line_structure, recognize_projective
+from transverse.projgeom import _recognize_table, line_structure, recognize_projective
+
+from test_constructions import build_P_sigma_reference, build_P_xi_reference
 
 SHAPES = ((2, 2), (3, 2), (2, 3))
+
+# every permutation at (2,2), (3,2) and (2,3), then 200 at (5,2)
+SIGMA_CORE_CASES = 6 + 24 + 5_040 + 200
 
 COUNTS = {
     "galois": 2400,
     "closure": 2400,
     "span_closure": 1200,
-    "form_zero_mask": 800,
+    # 200 forms at each of seven shapes
+    "form_zero_mask": 1400,
     "agreement": 2600,
     "phi_fixpoint": 1500,
     "dir_sum_symmetry": 1600,
@@ -79,6 +94,10 @@ COUNTS = {
     "span_gf2": 2 * 125 + 5_040 + 2_000,
     # classification options at four shapes, then random option lists
     "line_masks": 4 + 5 + 8 + 7 + 60,
+    # P_sigma cases, then P_xi: every permutation at p = 2, 3, 5 on the
+    # sweep's frame, then random frames
+    "table_cores": SIGMA_CORE_CASES + 6 + 24 + 720 + 240,
+    "dir_sum_oracle": 1200,
 }
 
 
@@ -513,14 +532,17 @@ def recognition_cases(rng):
 
 
 def family_recognition_oracle(cases, seed=110):
-    """recognize_projective from the frame table equals the per-class
-    reference, matrix included, on every permutation of four small
-    projective spaces and on random injective and matrix-induced maps."""
+    """recognize_projective from the frame table, and its core on the
+    map's image class table, equal the per-class reference, matrix
+    included, on every permutation of four small projective spaces and on
+    random injective and matrix-induced maps."""
     rng = SplitMix64(seed)
     projective = 0
     for _, m in zip(range(cases), recognition_cases(rng)):
         got = recognize_projective(m)
         assert got == reference_recognize_projective(m), m
+        table = tuple(vspace(m.p, m.n_cod).class_of[pt.index] for pt in m.images)
+        assert _recognize_table(m.p, m.n_dom, m.n_cod, table) == got, m
         projective += got is not None
     assert 0 < projective < cases
     return cases
@@ -650,15 +672,15 @@ def family_form_zero_mask(cases, seed=107):
     """The zero-set table of one form is the set of pairs on which the form,
     evaluated directly on their outer products, vanishes."""
     rng = SplitMix64(seed)
-    shapes = SHAPES + ((5, 2),)
+    shapes = tuple((p, n, n) for p, n in SHAPES + ((5, 2),)) + ((7, 1, 2), (3, 3, 3), (2, 4, 2))
     for k in range(cases):
-        p, n = shapes[k % 4]
-        flat = tuple(rng.below(p) for _ in range(n * n))
+        p, n1, n2 = shapes[k % len(shapes)]
+        flat = tuple(rng.below(p) for _ in range(n1 * n2))
         direct = 0
-        for i, o in enumerate(_outer_table(p, n, n)):
+        for i, o in enumerate(_outer_table(p, n1, n2)):
             if sum(f * c for f, c in zip(flat, o)) % p == 0:
                 direct |= 1 << i
-        assert _form_zero_mask(p, n, n, flat) == direct
+        assert _form_zero_mask(p, n1, n2, flat) == direct
     return cases
 
 
@@ -711,6 +733,91 @@ def family_dir_sum_symmetry(cases, seed=105):
     return done
 
 
+def sigma_core_cases(rng):
+    """(p, n, table): every permutation of P(F_p^n) at (2,2), (3,2) and
+    (2,3), then seeded shuffles at (5,2)."""
+    for p, n in ((2, 2), (3, 2), (2, 3)):
+        yield from ((p, n, perm) for perm in permutations(range(len(proj_enumerate(p, n)))))
+    while True:
+        table = list(range(6))
+        exchange_shuffle(table, rng)
+        yield 5, 2, tuple(table)
+
+
+def xi_core_cases(rng):
+    """(w, l, table): every bijection of P(F_p^2) onto itself over W = {0}
+    and l = F_p^2 at p = 2, 3 and 5, then random codimension-2 W, planes l
+    and bijections onto P(l) at p = 2, 3, 5 and 7."""
+    for p in (2, 3, 5):
+        w, l = Subspace.zero(p, 2), Subspace.full(p, 2)
+        yield from ((w, l, perm) for perm in permutations(range(p + 1)))
+    shapes = ((2, 2), (3, 2), (2, 3))
+    k = 0
+    while True:
+        p = (2, 3, 5, 7)[k % 4]
+        n1, n2 = shapes[k // 4 % 3]
+        ws = all_subspaces(p, n1, dim=n1 - 2)
+        ls = all_subspaces(p, n2, dim=2)
+        w, l = ws[rng.below(len(ws))], ls[rng.below(len(ls))]
+        cod = vspace(p, n2).class_of
+        table = [cod[pt.index] for pt in proj_enumerate(p, n2) if l.member(pt.vector())]
+        exchange_shuffle(table, rng)
+        yield w, l, tuple(table)
+        k += 1
+
+
+def family_table_cores(cases, seed=114):
+    """The span-set core on a class table equals the per-pair construction
+    of the map with that table, and the P_xi core equals the per-x
+    construction; both cores take the table the sweeps pass them."""
+    rng = SplitMix64(seed)
+    n_sigma = min(cases, SIGMA_CORE_CASES)
+    for _, (p, n, table) in zip(range(n_sigma), sigma_core_cases(rng)):
+        pts = proj_enumerate(p, n)
+        sigma = ProjBijection(p, n, n, tuple(pts[d] for d in table))
+        assert _sigma_mask(p, n, n, table) == build_P_sigma_reference(sigma), (p, n, table)
+    for _, (w, l, table) in zip(range(cases - n_sigma), xi_core_cases(rng)):
+        p, n2 = w.p, l.ambient
+        pts = proj_enumerate(p, n2)
+        xi = ProjBijection(p, 2, n2, tuple(pts[d] for d in table))
+        assert _xi_mask(w, n2, table) == build_P_xi_reference(w, l, xi), (w, l, table)
+    return cases
+
+
+def reference_dir_sum_vertical(a, b, sign):
+    """{(x, y1 +/- y2) : (x, y1) in A, (x, y2) in B}, pair by pair."""
+    p, n2 = a.p, a.n2
+    out = set()
+    for xa, ya in a.pair_indices():
+        for xb, yb in b.pair_indices():
+            if xa == xb:
+                u, v = decode(ya, p, n2), decode(yb, p, n2)
+                out.add(xa + p**a.n1 * encode([(s + sign * t) % p for s, t in zip(u, v)], p))
+    return sum(1 << i for i in out)
+
+
+def family_dir_sum_oracle(cases, seed=115):
+    """The vertical sumset read and written on columns equals the
+    pair-by-pair sum, for both signs, and vertical_fibers equals the
+    per-bit fiber walk."""
+    rng = SplitMix64(seed)
+    shapes = tuple((p, n, n) for p, n in SHAPES + ((5, 2),)) + ((2, 1, 3), (3, 3, 2))
+    for k in range(cases):
+        p, n1, n2 = shapes[k % len(shapes)]
+        total = p ** (n1 + n2)
+        a, b = (PairSet(p, n1, n2, sum({1 << rng.below(total) for _ in range(rng.below(14) + 1)}))
+                for _ in range(2))
+        if k % 5 == 0:
+            b = a
+        sign = (1, -1)[k // len(shapes) % 2]
+        assert dir_sum(a, b, "V", sign).indicator == reference_dir_sum_vertical(a, b, sign)
+        fibers = [0] * p**n1
+        for x, y in a.pair_indices():
+            fibers[x] |= 1 << y
+        assert a.vertical_fibers() == fibers
+    return cases
+
+
 FAMILIES = {
     "galois": family_galois,
     "closure": family_closure,
@@ -725,6 +832,8 @@ FAMILIES = {
     "rref_gf2": family_rref_gf2,
     "span_gf2": family_span_gf2,
     "line_masks": family_line_masks,
+    "table_cores": family_table_cores,
+    "dir_sum_oracle": family_dir_sum_oracle,
 }
 
 
@@ -790,3 +899,11 @@ def test_family_span_gf2():
 
 def test_family_line_masks():
     assert family_line_masks(COUNTS["line_masks"]) == COUNTS["line_masks"]
+
+
+def test_family_table_cores():
+    assert family_table_cores(COUNTS["table_cores"]) == COUNTS["table_cores"]
+
+
+def test_family_dir_sum_oracle():
+    assert family_dir_sum_oracle(COUNTS["dir_sum_oracle"]) == COUNTS["dir_sum_oracle"]
