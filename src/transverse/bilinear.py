@@ -42,14 +42,20 @@ from .fpcore import (
     Subspace,
     VecP,
     _xor_eliminate,
-    decode,
     encode,
     is_prime,
     rref,
     rref_kernel,
     vspace,
 )
-from .pairsets import PairSet, _fiber_read, _iter_bits, _span_mask, mask_to_subspace
+from .pairsets import (
+    PairSet,
+    _fiber_read,
+    _iter_bits,
+    _kernel_masks,
+    _span_mask,
+    mask_to_subspace,
+)
 
 __all__ = [
     "BilinearForm",
@@ -225,17 +231,6 @@ def orth(m: FormSpace, w1: Subspace, w2: Subspace) -> PairSet:
 
 
 # ------------------------------------------------- the span of outer products
-
-
-@lru_cache(maxsize=None)
-def _kernel_masks(p: int, n: int) -> tuple:
-    """Bit mask of {x in F_p^n : u . x = 0} for every functional u, indexed
-    by the encoded index of u."""
-    vs = [decode(i, p, n) for i in range(p**n)]
-    return tuple(
-        sum(1 << i for i, x in enumerate(vs) if sum(a * b for a, b in zip(u, x)) % p == 0)
-        for u in vs
-    )
 
 
 @lru_cache(maxsize=4096)

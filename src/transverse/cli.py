@@ -380,7 +380,6 @@ class _Entry(NamedTuple):
 
     target: str       # the `verify` target
     flags: dict       # verify flag -> CLI default; a None default marks an optional parameter
-    schema: dict      # certificate parameter (besides "sweep") -> type
     # (params, jobs, override_cap) -> (ok, kind, parameters, payload, lines);
     # None runs the explorer sweep of the entry's name
     run: Callable | None = None
@@ -388,31 +387,29 @@ class _Entry(NamedTuple):
     params: Callable = dict    # flag values -> the parameters `run` reads
 
 
-_PN = {"p": int, "n": int}
-
 # Keyed by the name a sweep certificate carries as parameters["sweep"]; f3 and
 # sigma-fig2 write set certificates, which replay from their own data.  A
-# sweep's certificate parameters are its keyword arguments.
+# sweep's certificate parameters are its keyword arguments, `params` of its
+# flags, and replay checks them against `params` of the flags' types.
 _SWEEPS = {
     name: entry if entry.run else entry._replace(run=partial(_run_sweep, name))
     for name, entry in {
-        "f3": _Entry("f3", {}, {}, lambda prm, jobs, cap: _verify_f3()),
-        "sigma-fig2": _Entry("sigma-fig2", {}, {}, lambda prm, jobs, cap: _verify_sigma_fig2()),
-        "exhaustive_subset_sweep": _Entry("exhaustive", {"p": 2, "n": 2}, _PN),
-        "classification_bundle": _Entry("classification", {}, {}, _classification_bundle),
-        "classify_hyperplane_fibers": _Entry("classification", {"p": 2, "n": 2}, _PN),
-        "xi_line_sweep": _Entry("classification", {"p": 5}, {"p": int}, mode="xi"),
+        "f3": _Entry("f3", {}, lambda prm, jobs, cap: _verify_f3()),
+        "sigma-fig2": _Entry("sigma-fig2", {}, lambda prm, jobs, cap: _verify_sigma_fig2()),
+        "exhaustive_subset_sweep": _Entry("exhaustive", {"p": 2, "n": 2}),
+        "classification_bundle": _Entry("classification", {}, _classification_bundle),
+        "classify_hyperplane_fibers": _Entry("classification", {"p": 2, "n": 2}),
+        "xi_line_sweep": _Entry("classification", {"p": 5}, mode="xi"),
         "search_sigma": _Entry(
             "sigma-search",
             {"p": 2, "n": 3, "mode": "exhaustive", "samples": None, "seed": None},
-            {**_PN, "mode": str, "samples": int, "seed": int},
         ),
         "verify_collineation_lemma": _Entry(
-            "collineation", {"p": 2, "n": 3}, {"p": int, "n_dom": int, "n_cod": int},
+            "collineation", {"p": 2, "n": 3},
             params=lambda flags: {"p": flags["p"], "n_dom": flags["n"], "n_cod": flags["n"]},
         ),
-        "fundamental_sweep": _Entry("fundamental", {"p": 2, "n": 3}, _PN),
-        "counting": _Entry("counting", {}, {}, lambda prm, jobs, cap: _verify_counting()),
+        "fundamental_sweep": _Entry("fundamental", {"p": 2, "n": 3}),
+        "counting": _Entry("counting", {}, lambda prm, jobs, cap: _verify_counting()),
     }.items()
 }
 
@@ -448,11 +445,12 @@ def _sweep_entry(parameters: dict, path: str) -> tuple[_Entry, dict]:
     if entry is None:
         raise FileFormatError(f"{path}: certificate names unknown sweep {name!r}")
     params = {k: v for k, v in parameters.items() if k != "sweep"}
-    extra = sorted(params.keys() - entry.schema.keys())
+    schema = entry.params({f: _VERIFY_FLAGS[f] for f in entry.flags})
+    extra = sorted(params.keys() - schema.keys())
     if extra:
         raise FileFormatError(f"{path}: sweep {name!r} takes no parameters {extra}")
     optional = {flag for flag, default in entry.flags.items() if default is None}
-    for field, types in entry.schema.items():
+    for field, types in schema.items():
         if field in params or field not in optional:
             _expect(params, field, types, path)
     return entry, params

@@ -25,7 +25,7 @@ from .fpcore import (
     proj_enumerate,
     vspace,
 )
-from .pairsets import PairSet, _column_mask
+from .pairsets import PairSet, _fiber_map_mask, _kernel_masks
 
 __all__ = [
     "ProjBijection",
@@ -136,32 +136,18 @@ def build_P_sigma(sigma: ProjBijection, override_cap: bool = False) -> PairSet:
 def _sigma_mask(p: int, n1: int, n2: int, images: tuple[int, ...]) -> int:
     """Indicator of the span set of the map whose image class table is
     `images` (images[c] the class of P(F_p^n2) that class c of P(F_p^n1)
-    goes to): the column of {0} x V2, then one cell per domain class."""
-    mask = _column_mask(p**n1, p**n2)
-    for c, d in enumerate(images):
-        mask |= _sigma_cell(p, n1, n2, c, d)
-    return mask
+    goes to): the fiber map with V2 over 0 and Span(v) over class c, v the
+    representative of images[c]."""
+    spans = _span_fibers(p, n2)
+    return _fiber_map_mask(p, n1, n2, (1 << p**n2) - 1, [spans[d] for d in images])
 
 
-@lru_cache(maxsize=256)
-def _sigma_cell(p: int, n1: int, n2: int, c: int, d: int) -> int:
-    """Pair-space bits of Span(x) x Span(v) over the members x of domain
-    class c, v the representative of codomain class d: the column of
-    Span(v) shifted by each x."""
-    m1 = p**n1
-    col = _span_column(p, m1, n2, vspace(p, n2).proj_reps[d])
-    cell = 0
-    for x in vspace(p, n1).class_members[c]:
-        cell |= col << x
-    return cell
-
-
-@lru_cache(maxsize=1024)
-def _span_column(p: int, m1: int, n2: int, index: int) -> int:
-    """Pair-space column of the fiber Span(v), v the vector of F_p^n2 with
-    the given index: bit m1 * (lam * v) for every lam in F_p."""
-    scale = vspace(p, n2).scale
-    return sum(1 << (m1 * scale[lam][index]) for lam in range(p))
+@lru_cache(maxsize=None)
+def _span_fibers(p: int, n: int) -> tuple[int, ...]:
+    """Bitset of Span(v) for the representative v of each class of
+    P(F_p^n)."""
+    sp = vspace(p, n)
+    return tuple(sum(1 << sp.scale[lam][v] for lam in range(p)) for v in sp.proj_reps)
 
 
 def random_sigma(p: int, n: int, seed: int) -> ProjBijection:
@@ -216,38 +202,28 @@ def _check_xi_spaces(p: int, w: Subspace, l: Subspace, n_dom: int, n_cod: int) -
 
 def _xi_mask(w: Subspace, n2: int, images: tuple[int, ...]) -> int:
     """Indicator of the hyperplane-fiber set over w whose line bijection has
-    the image class table `images` (classes of P(F_p^n2)): over each x the
-    column orthogonal to the image of the class of x mod w, the full column
-    over x in w."""
+    the image class table `images` (classes of P(F_p^n2)): the fiber map
+    with V2 over 0 and over the classes inside w, and over any other class
+    the kernel of the representative of the image of its class mod w."""
     p = w.p
-    m1 = p**w.ambient
+    full = (1 << p**n2) - 1
+    kernel = _kernel_masks(p, n2)
     reps = vspace(p, n2).proj_reps
-    # index 0 (x in w) is the full space, since every y is orthogonal to 0
-    cols = [_orthogonal_column(p, m1, n2, 0)]
-    cols += [_orthogonal_column(p, m1, n2, reps[d]) for d in images]
-    mask = 0
-    for x, cid in enumerate(_quotient_classes(w)):
-        mask |= cols[cid + 1] << x
-    return mask
+    fibers = [full if q < 0 else kernel[reps[images[q]]] for q in _quotient_classes(w)]
+    return _fiber_map_mask(p, w.ambient, n2, full, fibers)
 
 
 @lru_cache(maxsize=64)
 def _quotient_classes(w: Subspace) -> tuple[int, ...]:
-    """For a codimension-2 w: x -> the class id on P(F_p^2) of x mod w, read
-    in the two non-pivot columns of w, or -1 when x lies in w."""
+    """For a codimension-2 w: class c of P(F_p^n) -> the class id on
+    P(F_p^2) of its representative mod w, read in the two non-pivot columns
+    of w, or -1 when the class lies in w.  Scaling x scales its residual,
+    so the id is the same for every member of the class."""
     p, n = w.p, w.ambient
     f0, f1 = (j for j in range(n) if j not in w.pivots)
     line = vspace(p, 2)
     out = []
-    for x in range(p**n):
+    for x in vspace(p, n).proj_reps:
         r = w.residual(VecP.from_index(x, p, n)).coords
         out.append(line.class_of[r[f0] + p * r[f1]])
     return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _orthogonal_column(p: int, m1: int, n2: int, index: int) -> int:
-    """Pair-space column of the fiber {y : y . v = 0}, v the vector of F_p^n2
-    with the given index: bit m1 * y for every such y."""
-    sp = vspace(p, n2)
-    return sum(1 << (m1 * y) for y in range(sp.size) if sp.dot(y, index) == 0)

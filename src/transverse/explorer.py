@@ -42,11 +42,11 @@ from .fpcore import (
     check_cap,
     decode,
     is_prime,
-    vspace,
 )
 from .pairsets import (
     PairSet,
     SingleSet,
+    _fiber_map_mask,
     phi,
     subspace_mask,
     sumset_word,
@@ -66,7 +66,6 @@ __all__ = [
     "SweepReport",
     "bogolyubov_explore",
     "classify_hyperplane_fibers",
-    "contains_bilinear",
     "exhaustive_subset_sweep",
     "fundamental_sweep",
     "perm_rank",
@@ -330,28 +329,18 @@ def exhaustive_subset_sweep(
 # ------------------------------------------- hyperplane-fiber classification
 
 
-def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, span):
-    """Alternative number (1, 2 or 3) for one valid hyperplane-fiber set,
-    with span the RREF basis of S(s).
+def _classify_leaf(p, n, size, f0, fibers, full, span):
+    """Alternative number (1, 2 or 3) for one valid hyperplane-fiber set of
+    the given size with fiber f0 over 0 and fibers[c] over class c, span
+    the RREF basis of its S(A).
 
     Priority order is 1 -> 2 -> 3; the alternatives overlap (the full space
     satisfies both 1 and 2) and the first match wins.
     """
-    m1 = p**n
-    # alternative 1: P = W x V2  union  V1 x H, with W read off the fibers
-    # ({x : fiber = V2}, empty when the fiber over 0 is already proper).
-    if not rest:
+    # alternative 1: P = W x V2  union  V1 x H, W = {x : fiber = V2}: every
+    # fiber is V2 or one and the same hyperplane H
+    if len({f0, *fibers} - {full}) <= 1:
         return 1
-    h = rest[0]
-    if all(r == h for r in rest) and h.bit_count() == p ** (n - 1):
-        target = 0
-        for x in range(m1):
-            fm = full if (class_full_mask >> x) & 1 else h
-            for y in range(m1):
-                if (fm >> y) & 1:
-                    target |= 1 << (x + m1 * y)
-        if target == s.indicator:
-            return 1
     # alternative 2: the zero set of a single bilinear form.  The forms
     # vanishing on P are the span of the check forms of S(P), and their
     # zero sets contain P, so equality is a size check; scalar multiples
@@ -361,18 +350,15 @@ def _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, span):
         if next((c for c in lams if c), 0) != 1:
             continue
         flat = tuple(sum(lam * c for lam, c in zip(lams, col)) % p for col in zip(*checks))
-        if _form_zero_mask(p, n, n, flat).bit_count() == s.size:
+        if _form_zero_mask(p, n, n, flat).bit_count() == size:
             return 2
     # alternative 3: the largest W with W x V2 inside P has codimension
-    # exactly 2 (only reachable for p >= 5).  That W is {x : fiber = V2}; the
-    # line condition makes it a subspace, so its size is a power of p.
-    if p >= 5 and f0_full:
-        wdim = 0
-        while p**wdim < class_full_mask.bit_count():
-            wdim += 1
-        if n - wdim == 2:
-            return 3
-    raise ClassificationError(f"set of size {s.size} fits no alternative")
+    # exactly 2 (only reachable for p >= 5).  That W is {x : fiber = V2},
+    # a subspace by the line condition, so it has codimension 2 iff it holds
+    # as many projective classes as a codimension-2 subspace.
+    if p >= 5 and f0 == full and fibers.count(full) == _npoints(p, n - 2):
+        return 3
+    raise ClassificationError(f"set of size {size} fits no alternative")
 
 
 def _fiber_maps(f0: int, options: list, lines: tuple, k: int, leaf) -> None:
@@ -422,15 +408,11 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     assignment is one digit for the zero fiber plus one per projective
     class, pruned by fiber containment and the line condition (_fiber_maps)."""
     p, n = args
-    sp = vspace(p, n)
-    k = len(sp.proj_reps)
-    m1 = p**n
-    full = (1 << m1) - 1
+    k = _npoints(p, n)
+    full = (1 << p**n) - 1
     hyps = all_subspaces(p, n, dim=n - 1)
     options = [full] + [subspace_mask(h) for h in hyps]
     lines, _ = line_structure(p, n)
-    # per-option indicator column for one x, to scatter into the pair mask
-    scatter = {fm: sum(1 << (m1 * y) for y in range(m1) if (fm >> y) & 1) for fm in options}
     counts = {
         "raw": (d_hi - d_lo) * len(options) ** k,
         "valid": 0,
@@ -442,29 +424,13 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     }
 
     def leaf(f0, fibers):
-        mask = scatter[f0]
-        for cid in range(k):
-            col = scatter[fibers[cid]]
-            for x in sp.class_members[cid]:
-                mask |= col << x
-        s = PairSet(p, n, n, mask)
+        s = PairSet(p, n, n, _fiber_map_mask(p, n, n, f0, fibers))
         if transversality_violation(s) is not None:
             counts["leaf_rejected"] += 1
             return
         counts["valid"] += 1
-        f0_full = f0 == full
-        if f0_full:
-            class_full_mask = 1
-            for cid in range(k):
-                if fibers[cid] == full:
-                    for x in sp.class_members[cid]:
-                        class_full_mask |= 1 << x
-            rest = [fm for fm in fibers if fm != full]
-        else:
-            class_full_mask = 0
-            rest = list(fibers)
         verdict = is_bilinear(s)
-        alt = _classify_leaf(p, n, s, f0_full, class_full_mask, rest, full, verdict.span)
+        alt = _classify_leaf(p, n, s.size, f0, fibers, full, verdict.span)
         counts[f"alt{alt}"] += 1
         if verdict.status == "bilinear":
             counts["bilinear"] += 1
@@ -722,11 +688,6 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
 # ------------------------------------------------- sumset / phi exploration
 
 
-def contains_bilinear(t: PairSet, w1: Subspace, w2: Subspace, m: FormSpace) -> bool:
-    """Whether the common zero set of m inside w1 x w2 sits inside t."""
-    return orth(m, w1, w2).indicator & ~t.indicator == 0
-
-
 @dataclass
 class BogolyubovReport:
     """phi-image of a set together with the best bilinear triple found
@@ -768,7 +729,7 @@ def bogolyubov_explore(
                     for fs in all_subspaces(p, width, dim=d, override_cap=override_cap)
                 )
         for m in candidates:
-            if contains_bilinear(t, w1, w2, m):
+            if orth(m, w1, w2).indicator & ~t.indicator == 0:
                 return BogolyubovReport(word, t, w1, w2, m, True)
     return BogolyubovReport(word, t, None, None, None, False)
 

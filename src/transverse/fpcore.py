@@ -553,23 +553,14 @@ class _VSpace:
         self.coords = tuple(decode(i, p, n) for i in range(self.size))
         if self.size <= _TABLE_LIMIT:
             powers = [p**i for i in range(n)]
-            add = []
-            sub = []
-            for a in self.coords:
-                ra = []
-                rs = []
-                for b in self.coords:
-                    ra.append(sum(((x + y) % p) * w for x, y, w in zip(a, b, powers)))
-                    rs.append(sum(((x - y) % p) * w for x, y, w in zip(a, b, powers)))
-                add.append(ra)
-                sub.append(rs)
-            self.add = add
-            self.sub = sub
-            self.neg = [sub[0][i] for i in range(self.size)]
-            scale = []
-            for lam in range(p):
-                scale.append([encode([lam * c % p for c in v], p) for v in self.coords])
-            self.scale = scale
+            self.add = [
+                [sum(((x + y) % p) * w for x, y, w in zip(a, b, powers)) for b in self.coords]
+                for a in self.coords
+            ]
+            self.scale = [
+                [encode([lam * c % p for c in v], p) for v in self.coords] for lam in range(p)
+            ]
+            self.neg = self.scale[p - 1]
         else:  # pragma: no cover - beyond desk scale
             raise CapExceeded(f"F_{p}^{n} exceeds the table limit {_TABLE_LIMIT}")
         # projective classes: reps ascending; class_of[i] = position into reps
@@ -592,9 +583,6 @@ class _VSpace:
         self.proj_reps = tuple(reps)
         self.class_of = tuple(class_of)
         self.class_members = tuple(members)
-
-    def dot(self, i: int, j: int) -> int:
-        return sum(a * b for a, b in zip(self.coords[i], self.coords[j])) % self.p
 
 
 @lru_cache(maxsize=None)

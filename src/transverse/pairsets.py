@@ -135,10 +135,12 @@ def _mask_sum(p: int, n: int, fa: int, fb: int, sign: int) -> int:
     """{i + j : i in fa, j in fb} (i - j when sign < 0) as a bitset over
     F_p^n."""
     space = vspace(p, n)
-    table = space.add if sign > 0 else space.sub
+    add = space.add
     js = list(_iter_bits(fb))
+    if sign < 0:
+        js = [space.neg[j] for j in js]
     out = 0
-    for v in {table[i][j] for i in _iter_bits(fa) for j in js}:
+    for v in {add[i][j] for i in _iter_bits(fa) for j in js}:
         out |= 1 << v
     return out
 
@@ -557,16 +559,41 @@ def from_fiber_map(fm: FiberMap, override_cap: bool = False) -> PairSet:
     subspace-fiber and class-constancy conditions but need not be transverse:
     the line condition is the caller's concern."""
     check_cap(fm.p ** (fm.n1 + fm.n2), override_cap, "pair space")
-    sp1 = vspace(fm.p, fm.n1)
-    m1 = fm.p**fm.n1
-    mask = 0
-    for yi in fm.fiber0.element_indices():
-        mask |= 1 << (0 + m1 * yi)
-    for cid, f in enumerate(fm.fibers):
-        if f is None:
-            continue
-        ys = f.element_indices()
-        for x in sp1.class_members[cid]:
-            for yi in ys:
-                mask |= 1 << (x + m1 * yi)
-    return PairSet(fm.p, fm.n1, fm.n2, mask)
+    fibers = [0 if f is None else subspace_mask(f) for f in fm.fibers]
+    return PairSet(fm.p, fm.n1, fm.n2,
+                   _fiber_map_mask(fm.p, fm.n1, fm.n2, subspace_mask(fm.fiber0), fibers))
+
+
+def _fiber_map_mask(p: int, n1: int, n2: int, f0: int, fibers) -> int:
+    """Indicator of the set whose vertical fiber over 0 is the bitset f0
+    (over y) and over each member of class c of F_p^n1 is fibers[c], 0
+    meaning an empty fiber: one cell per nonempty fiber, ORed.  Every
+    fiber-map-to-set conversion goes through here."""
+    mask = _fiber_cell(p, n1, n2, -1, f0)
+    for c, f in enumerate(fibers):
+        if f:
+            mask |= _fiber_cell(p, n1, n2, c, f)
+    return mask
+
+
+@lru_cache(maxsize=256)
+def _fiber_cell(p: int, n1: int, n2: int, c: int, fiber: int) -> int:
+    """Pair-space bits of {x} x fiber for the members x of class c of
+    F_p^n1, or for x = 0 when c = -1.  At (2,10) one cell is about 128 KB,
+    which is what bounds the memo."""
+    col = _bits_column(fiber, p**n1)
+    cell = 0
+    for x in (0,) if c < 0 else vspace(p, n1).class_members[c]:
+        cell |= col << x
+    return cell
+
+
+@lru_cache(maxsize=None)
+def _kernel_masks(p: int, n: int) -> tuple:
+    """Bit mask of {x in F_p^n : u . x = 0} for every functional u, indexed
+    by the encoded index of u."""
+    vs = [decode(i, p, n) for i in range(p**n)]
+    return tuple(
+        sum(1 << i for i, x in enumerate(vs) if sum(a * b for a, b in zip(u, x)) % p == 0)
+        for u in vs
+    )

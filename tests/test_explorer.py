@@ -157,6 +157,16 @@ def test_classification_p3_n2():
     assert c["bilinear"] == 49
 
 
+def test_classification_p2_n3():
+    report = classify_hyperplane_fibers(2, 3)
+    assert report.ok
+    c = report.counts
+    assert c["valid"] == 575
+    assert (c["alt1"], c["alt2"], c["alt3"]) == (113, 462, 0)
+    assert c["bilinear"] == 575
+    assert c["leaf_rejected"] == 0
+
+
 def test_classification_p5_n2():
     report = classify_hyperplane_fibers(5, 2, jobs=4)
     assert report.ok

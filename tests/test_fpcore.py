@@ -22,6 +22,7 @@ from transverse.fpcore import (
     rref,
     span,
     subspace_sum,
+    vspace,
 )
 
 
@@ -210,3 +211,15 @@ def test_rref_gf2_edge_cases():
     assert rref([], 2) == ([], [])
     assert rref([(0, 0, 0), (2, 4, 0)], 2) == ([], [])
     assert rref([(1, 1, 0), (1, 1, 0), (3, 0, 1)], 2) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 1), (2, 4)])
+def test_vspace_tables_match_coordinate_arithmetic(p, n):
+    sp = vspace(p, n)
+    vs = [decode(i, p, n) for i in range(p**n)]
+    for i, u in enumerate(vs):
+        assert sp.neg[i] == encode([-a % p for a in u], p)
+        for j, v in enumerate(vs):
+            assert sp.add[i][j] == encode([(a + b) % p for a, b in zip(u, v)], p)
+        for lam in range(p):
+            assert sp.scale[lam][i] == encode([lam * a % p for a in u], p)

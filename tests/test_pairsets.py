@@ -2,9 +2,15 @@
 
 import pytest
 
-from transverse.constructions import build_P_sigma, f3_example, random_sigma
+from transverse.constructions import (
+    ProjBijection,
+    build_P_sigma,
+    build_P_xi,
+    f3_example,
+    random_sigma,
+)
 from transverse.detrng import SplitMix64
-from transverse.fpcore import Subspace
+from transverse.fpcore import Subspace, proj_enumerate
 from transverse.pairsets import (
     NotTransverseError,
     PairSet,
@@ -153,13 +159,23 @@ def test_product_of_subspaces_is_transverse():
 
 
 def test_fiber_map_roundtrip():
-    a = build_P_sigma(random_sigma(2, 3, seed=5))
-    fm = to_fiber_map(a)
-    assert from_fiber_map(fm).indicator == a.indicator
-    # every nonempty fiber is recorded as a subspace inside fiber0
-    for sub in fm.fibers:
-        if sub is not None:
-            assert fm.fiber0.contains(sub)
+    pts = proj_enumerate(5, 2)
+    xi = ProjBijection(5, 2, 2, tuple(pts[d] for d in (2, 0, 5, 1, 4, 3)))
+    sets = [
+        build_P_sigma(random_sigma(2, 3, seed=5)),
+        f3_example(),
+        # W a line of F_5^3: V2 over the class of W, hyperplanes elsewhere
+        build_P_xi(Subspace.from_rows([(1, 2, 3)], 5, 3), Subspace.full(5, 2), xi),
+        # Span(e_0) x Span(e_1): the classes outside Span(e_0) have empty fibers
+        PairSet.from_pairs(2, 2, 2, [(0, 0), (1, 0), (0, 2), (1, 2)]),
+    ]
+    for a in sets:
+        fm = to_fiber_map(a)
+        assert from_fiber_map(fm).indicator == a.indicator
+        # every nonempty fiber is recorded as a subspace inside fiber0
+        for sub in fm.fibers:
+            if sub is not None:
+                assert fm.fiber0.contains(sub)
 
 
 def test_fiber_map_rejects_non_transverse():
@@ -218,3 +234,10 @@ def test_mask_sum_cache_is_bounded():
     from transverse.pairsets import _mask_sum
 
     assert _mask_sum.cache_parameters()["maxsize"] is not None
+
+
+def test_fiber_cell_cache_is_bounded():
+    from transverse.pairsets import _fiber_cell
+
+    # at (2,10) one cell is about 128 KB
+    assert _fiber_cell.cache_parameters()["maxsize"] <= 256

@@ -8,9 +8,10 @@ projective recognition from the frame table against the per-class check, the
 XOR elimination at p = 2 against the list elimination, S(A) packed from outer
 product to check forms at p = 2 against the list path (_fiber_span,
 _check_forms), the fiber-map DFS on running per-line masks against the
-pairwise rescan of every line, the span-set and P_xi cores on class tables
-against the per-pair and per-x constructions, and the vertical sumset on
-columns against the pair-by-pair sum.
+pairwise rescan of every line, the fiber-map core against the pair-by-pair
+set, the span-set and P_xi cores on class tables against the per-pair and
+per-x constructions, and the vertical sumset on columns against the
+pair-by-pair sum.
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -56,6 +57,7 @@ from transverse.fpcore import (
 )
 from transverse.pairsets import (
     PairSet,
+    _fiber_map_mask,
     _fiber_read,
     _iter_bits,
     _span_mask,
@@ -72,6 +74,8 @@ from test_constructions import build_P_sigma_reference, build_P_xi_reference
 
 SHAPES = ((2, 2), (3, 2), (2, 3))
 
+# random fiber maps at five shapes
+FIBER_MAP_CORE_CASES = 500
 # every permutation at (2,2), (3,2) and (2,3), then 200 at (5,2)
 SIGMA_CORE_CASES = 6 + 24 + 5_040 + 200
 
@@ -94,9 +98,9 @@ COUNTS = {
     "span_gf2": 2 * 125 + 5_040 + 2_000,
     # classification options at four shapes, then random option lists
     "line_masks": 4 + 5 + 8 + 7 + 60,
-    # P_sigma cases, then P_xi: every permutation at p = 2, 3, 5 on the
-    # sweep's frame, then random frames
-    "table_cores": SIGMA_CORE_CASES + 6 + 24 + 720 + 240,
+    # random fiber maps, P_sigma cases, then P_xi: every permutation at
+    # p = 2, 3, 5 on the sweep's frame, then random frames
+    "table_cores": FIBER_MAP_CORE_CASES + SIGMA_CORE_CASES + 6 + 24 + 720 + 240,
     "dir_sum_oracle": 1200,
 }
 
@@ -452,24 +456,40 @@ def random_span(rng, p, n, members, draws):
     return _span_mask(p, n, mask)
 
 
+def random_fiber_map(rng, p, n1, n2):
+    """(f0, fibers): a random subspace f0 of F_p^n2 and, per projective
+    class of F_p^n1, an empty fiber (0, one time in four) or a random
+    subspace inside f0, all as bitsets over y."""
+    f0 = random_span(rng, p, n2, range(p**n2), 3)
+    inside = list(_iter_bits(f0))
+    fibers = []
+    for _ in vspace(p, n1).proj_reps:
+        fibers.append(0 if rng.below(4) == 0 else random_span(rng, p, n2, inside, 2))
+    return f0, fibers
+
+
+def reference_fiber_map_mask(p, n1, n2, f0, fibers):
+    """The set of a fiber map, pair by pair: (0, y) for y in f0, and (x, y)
+    for y in the fiber of the class of x, that class found by normalizing
+    x to its projective point."""
+    m1 = p**n1
+    reps = [pt.index for pt in proj_enumerate(p, n1)]
+    mask = 0
+    for x in range(m1):
+        if x == 0:
+            f = f0
+        else:
+            f = fibers[reps.index(ProjPoint.from_vector(VecP.from_index(x, p, n1)).index)]
+        for y in _iter_bits(f):
+            mask |= 1 << x + m1 * y
+    return mask
+
+
 def random_fiber_map_set(rng, p, n1, n2):
     """A set with subspace fibers inside a fiber over 0 and constant on
     projective classes, some classes empty; the line condition is left to
     chance."""
-    m1 = p**n1
-    f0 = random_span(rng, p, n2, range(p**n2), 3)
-    inside = list(_iter_bits(f0))
-    mask = 0
-    for y in inside:
-        mask |= 1 << m1 * y
-    for members in vspace(p, n1).class_members:
-        if rng.below(4) == 0:
-            continue
-        f = random_span(rng, p, n2, inside, 2)
-        for x in members:
-            for y in _iter_bits(f):
-                mask |= 1 << x + m1 * y
-    return mask
+    return reference_fiber_map_mask(p, n1, n2, *random_fiber_map(rng, p, n1, n2))
 
 
 def family_transversality_oracle(cases, seed=109):
@@ -767,10 +787,24 @@ def xi_core_cases(rng):
 
 
 def family_table_cores(cases, seed=114):
-    """The span-set core on a class table equals the per-pair construction
-    of the map with that table, and the P_xi core equals the per-x
-    construction; both cores take the table the sweeps pass them."""
+    """The fiber-map core on random fiber maps (empty class fibers and a
+    proper fiber over 0 included) equals the pair-by-pair set; the span-set
+    core on a class table equals the per-pair construction of the map with
+    that table, and the P_xi core equals the per-x construction; the last
+    two take the table the sweeps pass them."""
     rng = SplitMix64(seed)
+    n_maps = min(cases, FIBER_MAP_CORE_CASES)
+    shapes = ((2, 2, 2), (3, 2, 2), (2, 3, 3), (5, 2, 2), (2, 1, 3))
+    empty = proper = 0
+    for k in range(n_maps):
+        p, n1, n2 = shapes[k % len(shapes)]
+        f0, fibers = random_fiber_map(rng, p, n1, n2)
+        empty += 0 in fibers
+        proper += f0 != (1 << p**n2) - 1
+        assert _fiber_map_mask(p, n1, n2, f0, fibers) == reference_fiber_map_mask(
+            p, n1, n2, f0, fibers), (p, n1, n2, f0, fibers)
+    assert empty and proper
+    cases -= n_maps
     n_sigma = min(cases, SIGMA_CORE_CASES)
     for _, (p, n, table) in zip(range(n_sigma), sigma_core_cases(rng)):
         pts = proj_enumerate(p, n)
@@ -781,7 +815,7 @@ def family_table_cores(cases, seed=114):
         pts = proj_enumerate(p, n2)
         xi = ProjBijection(p, 2, n2, tuple(pts[d] for d in table))
         assert _xi_mask(w, n2, table) == build_P_xi_reference(w, l, xi), (w, l, table)
-    return cases
+    return n_maps + cases
 
 
 def reference_dir_sum_vertical(a, b, sign):
