@@ -65,7 +65,6 @@ from .fpcore import (
     is_prime,
 )
 from .pairsets import (
-    FiberMap,
     NotTransverseError,
     PairSet,
     SingleSet,
@@ -93,7 +92,6 @@ __all__ = [
     "BogolyubovReport",
     "CapExceeded",
     "ClosureResult",
-    "FiberMap",
     "FormSpace",
     "MatP",
     "NotTransverseError",

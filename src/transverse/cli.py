@@ -49,7 +49,6 @@ __all__ = [
     "make_certificate",
     "read_certificate",
     "read_set",
-    "report_certificate",
     "run",
     "set_document",
     "set_from_document",
@@ -319,12 +318,6 @@ def _run_sweep(name: str, params: dict, jobs: int, override_cap: bool) -> tuple:
     runs."""
     sweep = getattr(explorer, name)
     return _report(sweep(**params, jobs=jobs, override_cap=override_cap))
-
-
-def report_certificate(report: SweepReport) -> dict:
-    """Certificate for a sweep."""
-    _, kind, parameters, payload, _ = _report(report)
-    return make_certificate(kind, parameters, payload)
 
 
 def _verify_counting() -> tuple:

@@ -552,11 +552,14 @@ class _VSpace:
         check_cap(self.size, what=f"materializing F_{p}^{n}")
         self.coords = tuple(decode(i, p, n) for i in range(self.size))
         if self.size <= _TABLE_LIMIT:
-            powers = [p**i for i in range(n)]
-            self.add = [
-                [sum(((x + y) % p) * w for x, y, w in zip(a, b, powers)) for b in self.coords]
-                for a in self.coords
-            ]
+            # built digit by digit: entry (d p^j + a, e p^j + b) of the table
+            # over F_p^(j+1) is add[a][b] + ((d + e) % p) p^j
+            add = [[0]]
+            for j in range(n):
+                w = p**j
+                add = [[v + (d + e) % p * w for e in range(p) for v in row]
+                       for d in range(p) for row in add]
+            self.add = add
             self.scale = [
                 [encode([lam * c % p for c in v], p) for v in self.coords] for lam in range(p)
             ]

@@ -12,11 +12,13 @@ fiber over 0, fibers are constant on projective classes, and the fiber over
 any point of the projective line through [x] and [y] contains the
 intersection of the fibers over [x] and [y].
 
-The fiberwise test reads the vertical fiber over x in place, as the column
-``(A >> x) & C0`` with C0 one bit per y at stride p**n1, so containment,
-class constancy and the line condition are ANDs and XORs of whole columns.
-Whether a column is a subspace is cached per column; a failing column is
-searched bit by bit for its witness.
+Every vertical read goes through ``PairSet.vertical_fibers()``, which
+slices the fibers, as compact bitsets over y, out of one binary string of
+the indicator.  The fiberwise test reads them once (``_fiber_map_read``):
+containment, class constancy and the line condition are then ANDs and XORs
+of p**n2-bit words, and after those checks the per-class fibers are the
+fiber map itself.  A fiber is a subspace when it equals its cached span; a
+failing fiber is searched sum by sum for its witness.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .fpcore import (
-    CapExceeded,
     Subspace,
     check_cap,
     decode,
@@ -36,7 +37,6 @@ from .fpcore import (
 )
 
 __all__ = [
-    "FiberMap",
     "NotTransverseError",
     "PairSet",
     "SingleSet",
@@ -109,10 +109,6 @@ class SingleSet:
     @property
     def size(self) -> int:
         return self.indicator.bit_count()
-
-    @property
-    def density(self) -> float:
-        return self.size / self.p**self.n
 
     def indices(self) -> list[int]:
         return list(_iter_bits(self.indicator))
@@ -227,10 +223,6 @@ class PairSet:
     def size(self) -> int:
         return self.indicator.bit_count()
 
-    @property
-    def density(self) -> float:
-        return self.size / self.p ** (self.n1 + self.n2)
-
     def pair_indices(self) -> list[tuple[int, int]]:
         """Member pairs as (x_index, y_index), ascending in pair index."""
         m1 = self.p**self.n1
@@ -270,11 +262,13 @@ class PairSet:
 
     # -- fibers -------------------------------------------------------------
     def vertical_fibers(self) -> list[int]:
-        """Bitset over y-indices for each x index (fiber of the map x -> A_x),
-        read as the column (A >> x) & C0."""
-        m1 = self.p**self.n1
-        c0 = _column_mask(m1, self.p**self.n2)
-        return [_column_bits(self.indicator >> x & c0, m1) for x in range(m1)]
+        """Bitset over y-indices for each x index (fiber of the map x -> A_x).
+        In the binary string of the indicator, most significant bit first,
+        the bits of the fiber over x sit at stride m1, highest y first, so
+        each fiber is one slice read back as an int."""
+        m1, top, starts = _vertical_shape(self.p, self.n1, self.n2)
+        bits = bin(self.indicator | top)
+        return [int(bits[s::m1], 2) for s in starts]
 
     def horizontal_fibers(self) -> list[int]:
         m1, m2 = self.p**self.n1, self.p**self.n2
@@ -294,17 +288,11 @@ def dir_sum(a: PairSet, b: PairSet, direction: str, sign=1) -> PairSet:
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     m1 = a.p**a.n1
     if direction == VERTICAL:
-        # the fiber over x is the column (A >> x) & C0; the memo keys on it
-        # as a bitset over y, and the sum goes back as a column
-        c0 = _column_mask(m1, a.p**a.n2)
-        ia, ib = a.indicator, b.indicator
+        fa, fb = a.vertical_fibers(), b.vertical_fibers()
         mask = 0
-        for x in range(m1):
-            ca = ia >> x & c0
-            cb = ib >> x & c0 if ca else 0
-            if cb:
-                f = _mask_sum(a.p, a.n2, _column_bits(ca, m1), _column_bits(cb, m1), sgn)
-                mask |= _bits_column(f, m1) << x
+        for x, (y1, y2) in enumerate(zip(fa, fb)):
+            if y1 and y2:
+                mask |= _bits_column(_mask_sum(a.p, a.n2, y1, y2, sgn), m1) << x
         return a._replace(mask)
     if direction == HORIZONTAL:
         fa, fb = a.horizontal_fibers(), b.horizontal_fibers()
@@ -333,10 +321,8 @@ def phi(a: PairSet, word: str) -> PairSet:
 def fiber(a: PairSet, direction: str, at: int) -> SingleSet:
     """The fiber over one point: vertical gives {y : (x, y) in A} at x = at."""
     if direction == VERTICAL:
-        m1 = a.p**a.n1
-        _check_index("x index", at, m1)
-        col = a.indicator >> at & _column_mask(m1, a.p**a.n2)
-        return SingleSet(a.p, a.n2, _column_bits(col, m1))
+        _check_index("x index", at, a.p**a.n1)
+        return SingleSet(a.p, a.n2, a.vertical_fibers()[at])
     if direction == HORIZONTAL:
         _check_index("y index", at, a.p**a.n2)
         return SingleSet(a.p, a.n1, a.horizontal_fibers()[at])
@@ -374,6 +360,16 @@ def _fiber_shape(p: int, n1: int, n2: int) -> tuple:
     return p**n1, (1 << p**n1) - 1, sp2.class_of, len(sp2.proj_reps)
 
 
+@lru_cache(maxsize=None)
+def _vertical_shape(p: int, n1: int, n2: int) -> tuple:
+    """(m1, top, starts) for vertical_fibers.  m1 = p**n1.  top = 1 <<
+    p**(n1 + n2), so bin(indicator | top) is '0b1' and then one digit per
+    pair, bit i at index p**(n1 + n2) + 2 - i.  starts[x] = m1 + 2 - x is
+    the index of the highest-y bit of the fiber over x."""
+    m1 = p**n1
+    return m1, 1 << m1 * p**n2, range(m1 + 2, 2, -1)
+
+
 def projections(a: PairSet) -> tuple[SingleSet, SingleSet]:
     """Images of A under the two coordinate projections."""
     pi1, pi2, _ = _fiber_read(a)
@@ -397,79 +393,64 @@ def transversality_violation(a: PairSet, mode: str = "fiberwise"):
             s = dir_sum(a, a, d, 1)
             delta = s.indicator ^ a.indicator
             if delta:
-                i = (delta & -delta).bit_length() - 1
+                i = _low_bit(delta)
                 m1 = a.p**a.n1
                 return (f"A +{d} A differs from A", (i % m1, i // m1))
         return None
     if mode != "fiberwise":
         raise ValueError(f"mode must be 'direct' or 'fiberwise', got {mode!r}")
+    return _fiber_map_read(a)[0]
 
-    p, n1, n2 = a.p, a.n1, a.n2
-    sp1 = vspace(p, n1)
-    m1 = p**n1
-    ind = a.indicator
-    c0 = _column_mask(m1, p**n2)
-    cols = [ind >> x & c0 for x in range(m1)]
-    col0 = cols[0]
-    for x, col in enumerate(cols):
-        if not col:
+
+def _fiber_map_read(a: PairSet):
+    """(None, (f0, fibers)) when A is transverse, with f0 the fiber over 0
+    and fibers[c] the fiber over class c of F_p^n1 (proj_reps order, 0 for
+    an empty fiber), all bitsets over y; otherwise (violation, None) with
+    the first violation transversality_violation reports.
+
+    The checks, in order: every nonempty fiber contains 0, is a subspace
+    and lies in the fiber over 0; fibers agree on projective classes; the
+    line condition, scanned pair of classes by pair of classes."""
+    p, n2 = a.p, a.n2
+    fibers = a.vertical_fibers()
+    f0 = fibers[0]
+    for x, f in enumerate(fibers):
+        if not f:
             continue
-        if not col & 1:
-            return ("nonempty vertical fiber misses 0", (x, 0))
-        if not _column_is_subspace(p, n1, n2, col):
-            return ("vertical fiber is not a subspace",
-                    (x, _sum_witness(p, n2, _column_bits(col, m1))))
-        extra = col & ~col0
+        if not f & 1:
+            return ("nonempty vertical fiber misses 0", (x, 0)), None
+        if _span_mask(p, n2, f) != f:
+            return ("vertical fiber is not a subspace", (x, _sum_witness(p, n2, f))), None
+        extra = f & ~f0
         if extra:
             return ("vertical fiber not contained in the fiber over 0",
-                    (x, _low_row(extra, m1)))
-    for cid, members in enumerate(sp1.class_members):
-        rep = sp1.proj_reps[cid]
-        for m in members:
-            delta = cols[m] ^ cols[rep]
-            if delta:
-                return ("fibers differ within a projective class", (m, _low_row(delta, m1)))
+                    (x, _low_bit(extra))), None
+    sp1 = vspace(p, a.n1)
     reps = sp1.proj_reps
+    for rep, members in zip(reps, sp1.class_members):
+        for m in members:
+            delta = fibers[m] ^ fibers[rep]
+            if delta:
+                return ("fibers differ within a projective class", (m, _low_bit(delta))), None
     for ia, ra in enumerate(reps):
-        fa = cols[ra]
+        fa = fibers[ra]
         if not fa:
             continue
         for rb in reps[ia + 1:]:
-            inter = fa & cols[rb]
+            inter = fa & fibers[rb]
             if not inter:
                 continue
             for lam in range(1, p):
                 z = sp1.add[ra][sp1.scale[lam][rb]]
-                missing = inter & ~cols[z]
+                missing = inter & ~fibers[z]
                 if missing:
-                    return ("line condition fails", (z, _low_row(missing, m1)))
-    return None
+                    return ("line condition fails", (z, _low_bit(missing))), None
+    return None, (f0, [fibers[r] for r in reps])
 
 
-def _column_mask(m1: int, m2: int) -> int:
-    """One bit per y at stride m1, so that bit m1 * y of (A >> x) & mask is
-    set exactly when (x, y) is in A: the vertical fiber over x, in place."""
-    return ((1 << m1 * m2) - 1) // ((1 << m1) - 1)
-
-
-def _low_row(col: int, m1: int) -> int:
-    """The smallest y of a nonzero column."""
-    return ((col & -col).bit_length() - 1) // m1
-
-
-@lru_cache(maxsize=4096)
-def _column_is_subspace(p: int, n1: int, n2: int, col: int) -> bool:
-    """Whether a column that contains 0 is closed under addition, which
-    over F_p makes it a subspace."""
-    return _sum_witness(p, n2, _column_bits(col, p**n1)) is None
-
-
-def _column_bits(col: int, m1: int) -> int:
-    """A column as a bitset over y."""
-    f = 0
-    for i in _iter_bits(col):
-        f |= 1 << i // m1
-    return f
+def _low_bit(f: int) -> int:
+    """The smallest member of a nonzero bitset."""
+    return (f & -f).bit_length() - 1
 
 
 def _bits_column(f: int, m1: int) -> int:
@@ -502,66 +483,42 @@ def is_transverse(a: PairSet, mode: str = "fiberwise") -> bool:
 # Fiber-map form of a transverse set.
 
 
-@dataclass(frozen=True)
-class FiberMap:
-    """A transverse set presented by its vertical fibers: one subspace for
-    the fiber over 0, and per projective class of the first factor either a
-    subspace (shared by all nonzero multiples) or None for an empty fiber.
-
-    Every non-None fiber must sit inside fiber0; class order follows the
-    ascending-index enumeration of projective points.
-    """
-
-    p: int
-    n1: int
-    n2: int
-    fiber0: Subspace
-    fibers: tuple
-
-    def __post_init__(self) -> None:
-        if self.fiber0.p != self.p or self.fiber0.ambient != self.n2:
-            raise ValueError("fiber0 lives in the wrong space")
-        reps = vspace(self.p, self.n1).proj_reps
-        if len(self.fibers) != len(reps):
-            raise ValueError(
-                f"need one fiber per projective class ({len(reps)}), got {len(self.fibers)}"
-            )
-        for f in self.fibers:
-            if f is None:
-                continue
-            if f.p != self.p or f.ambient != self.n2:
-                raise ValueError("class fiber lives in the wrong space")
-            if not self.fiber0.contains(f):
-                raise ValueError("class fiber is not contained in fiber0")
-
-
-def to_fiber_map(a: PairSet) -> FiberMap:
-    """Fiber presentation of a nonempty transverse set.
+def to_fiber_map(a: PairSet) -> tuple[int, list[int]]:
+    """Fiber presentation (f0, fibers) of a nonempty transverse set: f0 the
+    fiber over 0 and fibers[c] the fiber over projective class c of F_p^n1
+    (ascending-index order of the classes, 0 for an empty fiber), all
+    bitsets over y.
 
     Raises NotTransverseError naming the violated condition otherwise.
     """
     if not a.indicator:
         raise NotTransverseError("empty set has no fiber map", None)
-    bad = transversality_violation(a, "fiberwise")
+    bad, fmap = _fiber_map_read(a)
     if bad is not None:
         raise NotTransverseError(*bad)
-    fibers = a.vertical_fibers()
-    sub0 = mask_to_subspace(a.p, a.n2, fibers[0])
-    out = []
-    for rep in vspace(a.p, a.n1).proj_reps:
-        f = fibers[rep]
-        out.append(mask_to_subspace(a.p, a.n2, f) if f else None)
-    return FiberMap(a.p, a.n1, a.n2, sub0, tuple(out))
+    return fmap
 
 
-def from_fiber_map(fm: FiberMap, override_cap: bool = False) -> PairSet:
-    """Realize a fiber map as a PairSet.  The result always satisfies the
-    subspace-fiber and class-constancy conditions but need not be transverse:
-    the line condition is the caller's concern."""
-    check_cap(fm.p ** (fm.n1 + fm.n2), override_cap, "pair space")
-    fibers = [0 if f is None else subspace_mask(f) for f in fm.fibers]
-    return PairSet(fm.p, fm.n1, fm.n2,
-                   _fiber_map_mask(fm.p, fm.n1, fm.n2, subspace_mask(fm.fiber0), fibers))
+def from_fiber_map(p: int, n1: int, n2: int, f0: int, fibers,
+                   override_cap: bool = False) -> PairSet:
+    """Realize a fiber map, in the form to_fiber_map returns, as a PairSet.
+    There must be one fiber per projective class, each inside f0, and f0
+    and every nonzero fiber must be subspaces (as bitsets over y); otherwise
+    ValueError.  The result always satisfies the subspace-fiber and
+    class-constancy conditions but need not be transverse: the line
+    condition is the caller's concern."""
+    check_cap(p ** (n1 + n2), override_cap, "pair space")
+    k = len(vspace(p, n1).proj_reps)
+    if len(fibers) != k:
+        raise ValueError(f"need one fiber per projective class ({k}), got {len(fibers)}")
+    if not 0 < f0 < 1 << p**n2 or _span_mask(p, n2, f0) != f0:
+        raise ValueError("fiber0 is not a subspace of F_p^n2")
+    for f in fibers:
+        if f & ~f0:
+            raise ValueError("class fiber is not contained in fiber0")
+        if f and _span_mask(p, n2, f) != f:
+            raise ValueError("class fiber is not a subspace")
+    return PairSet(p, n1, n2, _fiber_map_mask(p, n1, n2, f0, fibers))
 
 
 def _fiber_map_mask(p: int, n1: int, n2: int, f0: int, fibers) -> int:

@@ -7,6 +7,7 @@ from transverse.constructions import (
     build_P_sigma,
     build_P_xi,
     f3_example,
+    p0_p1,
     random_sigma,
     sigma_fig2,
 )
@@ -31,6 +32,17 @@ def test_f3_shape():
     # membership spot checks: (0, y) for all y, and the diagonal pattern
     for y in range(9):
         assert a.contains(0, y)
+
+
+def test_p0_p1_are_the_bilinear_pieces_of_f3():
+    from transverse.bilinear import is_bilinear
+
+    p0, p1 = p0_p1()
+    assert (p0.size, p1.size) == (25, 9)
+    for piece in (p0, p1):
+        assert is_transverse(piece)
+        assert is_bilinear(piece).status == "bilinear"
+    assert (p0 | p1).indicator == f3_example().indicator
 
 
 def test_sigma_fig2_table():

@@ -213,7 +213,7 @@ def test_rref_gf2_edge_cases():
     assert rref([(1, 1, 0), (1, 1, 0), (3, 0, 1)], 2) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 1), (2, 4)])
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 1), (2, 4), (3, 3)])
 def test_vspace_tables_match_coordinate_arithmetic(p, n):
     sp = vspace(p, n)
     vs = [decode(i, p, n) for i in range(p**n)]

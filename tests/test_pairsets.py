@@ -19,8 +19,10 @@ from transverse.pairsets import (
     fiber,
     from_fiber_map,
     is_transverse,
+    mask_to_subspace,
     phi,
     projections,
+    subspace_mask,
     sumset_word,
     to_fiber_map,
     transversality_violation,
@@ -170,12 +172,34 @@ def test_fiber_map_roundtrip():
         PairSet.from_pairs(2, 2, 2, [(0, 0), (1, 0), (0, 2), (1, 2)]),
     ]
     for a in sets:
-        fm = to_fiber_map(a)
-        assert from_fiber_map(fm).indicator == a.indicator
-        # every nonempty fiber is recorded as a subspace inside fiber0
-        for sub in fm.fibers:
-            if sub is not None:
-                assert fm.fiber0.contains(sub)
+        f0, fibers = to_fiber_map(a)
+        assert len(fibers) == len(proj_enumerate(a.p, a.n1))
+        assert from_fiber_map(a.p, a.n1, a.n2, f0, fibers).indicator == a.indicator
+        # every nonempty fiber is a subspace inside fiber0
+        for f in fibers:
+            assert f & ~f0 == 0
+            assert not f or subspace_mask(mask_to_subspace(a.p, a.n2, f)) == f
+    assert to_fiber_map(sets[3]) == (0b101, [0b101, 0, 0])
+
+
+def test_from_fiber_map_rejects_bad_input():
+    # F_2^2 x F_2^2: three classes; y = 1, 2, 3 are the nonzero vectors
+    full, line = 0b1111, 0b0011
+    assert from_fiber_map(2, 2, 2, full, [line, 0, full]).size == 4 + 2 + 4
+    cases = [
+        ((full, [line, 0]), "one fiber per projective class"),
+        ((full, [line, 0, full, 0]), "one fiber per projective class"),
+        ((line, [line, 0, full]), "not contained in fiber0"),
+        ((line, [0b0101, 0, 0]), "not contained in fiber0"),
+        ((full, [0b0111, 0, 0]), "class fiber is not a subspace"),
+        ((full, [0b0010, 0, 0]), "class fiber is not a subspace"),
+        ((0b0111, [line, 0, 0]), "fiber0 is not a subspace"),
+        ((0, [0, 0, 0]), "fiber0 is not a subspace"),
+        ((1 << 16 | 1, [1, 0, 0]), "fiber0 is not a subspace"),
+    ]
+    for (f0, fibers), message in cases:
+        with pytest.raises(ValueError, match=message):
+            from_fiber_map(2, 2, 2, f0, fibers)
 
 
 def test_fiber_map_rejects_non_transverse():
@@ -214,20 +238,27 @@ def test_index_accessors_are_range_checked():
 
 def test_vertical_fiber_reads_agree_with_the_fiber_list():
     rng = SplitMix64(23)
-    for p, n1, n2 in ((2, 2, 2), (3, 2, 1), (2, 1, 3), (5, 1, 2)):
-        for _ in range(20):
+    for p, n1, n2 in ((2, 2, 2), (3, 2, 1), (2, 1, 3), (5, 1, 2), (2, 3, 1)):
+        m1 = p**n1
+        assert PairSet(p, n1, n2, 0).vertical_fibers() == [0] * m1
+        for k in range(21):
             mask = 0
             for _ in range(rng.below(12) + 1):
                 mask |= 1 << rng.below(p ** (n1 + n2))
+            if k == 20:
+                mask = (1 << p ** (n1 + n2)) - 1
             a = PairSet(p, n1, n2, mask)
-            fibers = a.vertical_fibers()
-            assert [fiber(a, "V", x).indicator for x in range(p**n1)] == fibers
+            fibers = [0] * m1
+            for i in range(p ** (n1 + n2)):
+                if mask >> i & 1:
+                    fibers[i % m1] |= 1 << i // m1
+            assert a.vertical_fibers() == fibers
 
 
 def test_transversality_caches_are_bounded():
-    from transverse.pairsets import _column_is_subspace
+    from transverse.pairsets import _span_mask
 
-    assert _column_is_subspace.cache_parameters()["maxsize"] is not None
+    assert _span_mask.cache_parameters()["maxsize"] is not None
 
 
 def test_mask_sum_cache_is_bounded():

@@ -3,15 +3,15 @@
 families add (5,2) and non-square shapes such as (2,1,3), (3,3,2) and
 (7,1,2); form_zero_mask adds (5,2), (7,1,2), (3,3,3) and (2,4,2)).
 The table-driven and word-level kernels are checked against the loops they
-replaced: transversality on column masks against the per-bit fiber walk,
-projective recognition from the frame table against the per-class check, the
-XOR elimination at p = 2 against the list elimination, S(A) packed from outer
-product to check forms at p = 2 against the list path (_fiber_span,
-_check_forms), the fiber-map DFS on running per-line masks against the
-pairwise rescan of every line, the fiber-map core against the pair-by-pair
-set, the span-set and P_xi cores on class tables against the per-pair and
-per-x constructions, and the vertical sumset on columns against the
-pair-by-pair sum.
+replaced: transversality (and to_fiber_map) on the compact fibers against
+the per-bit fiber walk, projective recognition from the frame table against
+the per-class check, the XOR elimination at p = 2 against the list
+elimination, S(A) packed from outer product to check forms at p = 2 against
+the list path (_fiber_span, _check_forms), the fiber-map DFS on running
+per-line masks against the pairwise rescan of every line, the fiber-map core
+against the pair-by-pair set, the span-set and P_xi cores on class tables
+against the per-pair and per-x constructions, and the vertical sumset on the
+compact fibers against the pair-by-pair sum.
 
 Each family draws its cases from a SplitMix64 stream, so every run checks the
 same cases.  The counts below total more than ten thousand cases; the whole
@@ -65,6 +65,7 @@ from transverse.pairsets import (
     is_transverse,
     phi,
     projections,
+    to_fiber_map,
     transversality_violation,
 )
 from transverse.pairsets import subspace_mask
@@ -191,15 +192,21 @@ def reference_verdict(a):
 # ------------------------------------- per-bit reference of transversality
 
 
+def reference_vertical_fibers(a):
+    """The vertical fiber over each x, built member bit by member bit."""
+    m1 = a.p**a.n1
+    fibers = [0] * m1
+    for i in _iter_bits(a.indicator):
+        fibers[i % m1] |= 1 << i // m1
+    return fibers
+
+
 def reference_transversality_violation(a):
     """The fiberwise check walking every member bit: vertical fibers built
     pair by pair, subspaces checked by all pairwise sums."""
     sp1 = vspace(a.p, a.n1)
     sp2 = vspace(a.p, a.n2)
-    m1 = a.p**a.n1
-    fibers = [0] * m1
-    for i in _iter_bits(a.indicator):
-        fibers[i % m1] |= 1 << i // m1
+    fibers = reference_vertical_fibers(a)
     f0 = fibers[0]
     for x, f in enumerate(fibers):
         if not f:
@@ -493,10 +500,12 @@ def random_fiber_map_set(rng, p, n1, n2):
 
 
 def family_transversality_oracle(cases, seed=109):
-    """The fiberwise check on column masks returns the per-bit reference's
-    verdict and witness: first on every subset of F_2^2 x F_2^2, then on
-    fiber-map sets over seven shapes, half of them with one bit flipped.
-    Every one of the five conditions is reported somewhere."""
+    """The fiberwise check on the compact fibers returns the per-bit
+    reference's verdict and witness: first on every subset of F_2^2 x
+    F_2^2, then on fiber-map sets over seven shapes, half of them with one
+    bit flipped.  Every one of the five conditions is reported somewhere.
+    On every nonempty transverse set, to_fiber_map returns the per-bit
+    fibers over 0 and over the class representatives."""
     rng = SplitMix64(seed)
     shapes = ((3, 2, 2), (2, 3, 3), (5, 2, 2), (2, 1, 3), (3, 3, 2), (7, 1, 2), (2, 2, 4))
     seen = set()
@@ -512,6 +521,10 @@ def family_transversality_oracle(cases, seed=109):
         got = transversality_violation(a)
         assert got == reference_transversality_violation(a), a
         seen.add(got[0] if got else None)
+        if got is None and a.indicator:
+            fibers = reference_vertical_fibers(a)
+            reps = vspace(a.p, a.n1).proj_reps
+            assert to_fiber_map(a) == (fibers[0], [fibers[r] for r in reps]), a
     assert len(seen) == 6, seen
     return cases
 
@@ -831,9 +844,9 @@ def reference_dir_sum_vertical(a, b, sign):
 
 
 def family_dir_sum_oracle(cases, seed=115):
-    """The vertical sumset read and written on columns equals the
-    pair-by-pair sum, for both signs, and vertical_fibers equals the
-    per-bit fiber walk."""
+    """The vertical sumset on the compact fibers equals the pair-by-pair
+    sum, for both signs, and vertical_fibers equals the per-bit fiber
+    walk."""
     rng = SplitMix64(seed)
     shapes = tuple((p, n, n) for p, n in SHAPES + ((5, 2),)) + ((2, 1, 3), (3, 3, 2))
     for k in range(cases):
@@ -845,10 +858,7 @@ def family_dir_sum_oracle(cases, seed=115):
             b = a
         sign = (1, -1)[k // len(shapes) % 2]
         assert dir_sum(a, b, "V", sign).indicator == reference_dir_sum_vertical(a, b, sign)
-        fibers = [0] * p**n1
-        for x, y in a.pair_indices():
-            fibers[x] |= 1 << y
-        assert a.vertical_fibers() == fibers
+        assert a.vertical_fibers() == reference_vertical_fibers(a)
     return cases
 
 
