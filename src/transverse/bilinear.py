@@ -40,7 +40,6 @@ from itertools import product
 from .fpcore import (
     MatP,
     Subspace,
-    VecP,
     _xor_eliminate,
     encode,
     is_prime,
@@ -58,50 +57,14 @@ from .pairsets import (
 )
 
 __all__ = [
-    "BilinearForm",
     "BilinearVerdict",
     "ClosureResult",
     "FormSpace",
     "ann",
     "closure",
-    "eval_form",
     "is_bilinear",
     "orth",
 ]
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """A bilinear form F_p^{n1} x F_p^{n2} -> F_p as an n1-by-n2 matrix."""
-
-    p: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        rows = tuple(tuple(c % self.p for c in r) for r in self.matrix)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged form matrix")
-        object.__setattr__(self, "matrix", rows)
-
-    @property
-    def n1(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def n2(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-
-def eval_form(q: BilinearForm, x: VecP, y: VecP) -> int:
-    """Q(x, y) = sum_ij x_i Q_ij y_j mod p."""
-    if x.p != q.p or y.p != q.p or x.n != q.n1 or y.n != q.n2:
-        raise ValueError("dimension or field mismatch")
-    return sum(
-        xi * sum(qij * yj for qij, yj in zip(row, y.coords))
-        for xi, row in zip(x.coords, q.matrix)
-    ) % q.p
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 closed-form bound, and the factorial-versus-subspace-count inequality whose
 violation forces the existence of non-bilinear span sets.
 
-No verdict here rests on floating-point rounding: log-domain comparisons
-carry an explicit margin, and anything inside the margin is settled again
-with exact integers (squaring away half-integral exponents) or with
-high-precision arithmetic for the bound that involves e.
+Every verdict here is decided on integers.  The inequality is squared, so
+its half-integral exponent becomes integral; its Stirling form brackets e
+between partial sums of the exponential series until one side wins.  The
+operands are sized from their exponents before any is built, and a
+comparison past the enumeration cap raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fpcore import is_prime
+from .fpcore import DEFAULT_ENUMERATION_CAP, CapExceeded, _require_prime
 
 __all__ = [
-    "LOG_MARGIN",
     "bijection_vs_projective",
     "gaussian_binomial",
     "inequality_check",
@@ -25,13 +25,7 @@ __all__ = [
     "subspace_counts",
 ]
 
-LOG_MARGIN = 1e-6
 N_SCAN_LIMIT = 64
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
 
 
 def gaussian_binomial(m: int, k: int, p: int) -> int:
@@ -80,8 +74,28 @@ def subspace_counts(p: int, m: int) -> tuple[int, Fraction]:
     return total, bound
 
 
-def _rhs_log(p: int, n: int) -> float:
-    return math.log(32 / 15) + n**4 / 2 * math.log(p)
+def _check_bits(bits: int) -> None:
+    """CapExceeded when an exact comparison's operands, counted in bits, pass
+    the enumeration cap.  Unlike an enumeration, it takes no override."""
+    if bits > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"an exact comparison needs operands of up to 2**{bits.bit_length()} "
+                          f"bits (cap {DEFAULT_ENUMERATION_CAP})")
+
+
+def _exceeds_e_power(lhs: int, rhs: int, m: int) -> bool:
+    """Whether lhs > rhs e^(2m), for positive ints.  e lies strictly between
+    s_k = sum_{j<=k} 1/j! and s_k + 1/(k! k); both bounds are raised to the
+    2m-th power, and k grows until one side wins, which it must, since
+    e^(2m) is irrational.  Each step sizes its operands before building them."""
+    k, fact, a = 1, 1, 2  # s_k = a / k!
+    while True:
+        _check_bits(max(lhs.bit_length(), rhs.bit_length()) + 2 * m * (a * k + 1).bit_length())
+        if lhs * (fact * k) ** (2 * m) > rhs * (a * k + 1) ** (2 * m):
+            return True
+        if lhs * fact ** (2 * m) < rhs * a ** (2 * m):
+            return False
+        k += 1
+        fact, a = fact * k, a * k + 1
 
 
 def inequality_check(p: int, n: int, mode: str = "stirling") -> bool:
@@ -89,10 +103,14 @@ def inequality_check(p: int, n: int, mode: str = "stirling") -> bool:
     (32/15) p^(n^4/2), i.e. whether counting alone already proves that a
     non-bilinear span set exists at these parameters.
 
-    stirling compares (p^(n-1)/e)^(p^(n-1)); exact_factorial compares
-    p^(n-1)! itself.  Comparisons closer than LOG_MARGIN in log domain are
-    settled again exactly (squares of both sides, so the half exponent
-    becomes integral) or, for the e-laden Stirling side, at 60 digits.
+    With m = p^(n-1), both sides are squared so the half exponent becomes
+    integral.  exact_factorial decides 15^2 (m!)^2 > 32^2 p^(n^4); stirling,
+    which bounds m! below by (m/e)^m, decides 15^2 m^(2m) > 32^2 p^(n^4)
+    e^(2m).  Either mode's first comparison has operands of at most
+    2m(log2(m) + 2) + n^4 log2(p) bits, sized from the exponents before any
+    is built: past the enumeration cap the call raises CapExceeded at once,
+    as at (2, n >= 22), (3, n >= 14), (47, n >= 5) and (p, 2) for primes
+    above about 1.5 million.
     """
     _require_prime(p)
     if n < 2:
@@ -100,23 +118,18 @@ def inequality_check(p: int, n: int, mode: str = "stirling") -> bool:
     if mode not in ("stirling", "exact_factorial"):
         raise ValueError(f"mode must be 'stirling' or 'exact_factorial', got {mode!r}")
     m = p ** (n - 1)
-    rhs = _rhs_log(p, n)
-    lhs = m * ((n - 1) * math.log(p) - 1) if mode == "stirling" else math.lgamma(m + 1)
-    if abs(lhs - rhs) > LOG_MARGIN:
-        return lhs > rhs
+    _check_bits(2 * m * (m.bit_length() + 2) + n**4 * p.bit_length())
+    rhs = 32**2 * p ** (n**4)
     if mode == "exact_factorial":
-        return 15**2 * math.factorial(m) ** 2 > 32**2 * p ** (n**4)
-    import mpmath  # only this settling step needs it; importing it costs every command
-
-    with mpmath.workdps(60):
-        lhs_hp = m * ((n - 1) * mpmath.log(p) - 1)
-        rhs_hp = mpmath.log(mpmath.mpf(32) / 15) + mpmath.mpf(n**4) / 2 * mpmath.log(p)
-        return lhs_hp > rhs_hp
+        return 15**2 * math.factorial(m) ** 2 > rhs
+    return _exceeds_e_power(15**2 * m ** (2 * m), rhs, m)
 
 
 def n0_estimate(p: int, mode: str = "stirling") -> int | None:
     """Smallest n in [2, 64] where inequality_check reports a violation, or
-    None when the scanned range has none (not observed for any prime)."""
+    None when the scanned range has none (not observed for any prime).
+    CapExceeded when the scan reaches an n past the cap first, as it does at
+    n = 2 for primes above about 1.5 million."""
     for n in range(2, N_SCAN_LIMIT + 1):
         if inequality_check(p, n, mode):
             return n

@@ -42,11 +42,13 @@ from .fpcore import (
     check_cap,
     decode,
     is_prime,
+    vspace,
 )
 from .pairsets import (
     PairSet,
     SingleSet,
     _fiber_map_mask,
+    _kernel_masks,
     phi,
     subspace_mask,
     sumset_word,
@@ -404,14 +406,15 @@ def _fiber_maps(f0: int, options: list, lines: tuple, k: int, leaf) -> None:
 
 def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     """DFS over fiber assignments whose fiber-over-zero digit lies in
-    [d_lo, d_hi).  Digits index `options` = [full] + hyperplanes; a full
-    assignment is one digit for the zero fiber plus one per projective
-    class, pruned by fiber containment and the line condition (_fiber_maps)."""
+    [d_lo, d_hi).  Digits index `options` = [full] + hyperplanes, one kernel
+    per projective class of functionals; a full assignment is one digit for
+    the zero fiber plus one per projective class, pruned by fiber
+    containment and the line condition (_fiber_maps)."""
     p, n = args
     k = _npoints(p, n)
     full = (1 << p**n) - 1
-    hyps = all_subspaces(p, n, dim=n - 1)
-    options = [full] + [subspace_mask(h) for h in hyps]
+    kernels = _kernel_masks(p, n)
+    options = [full] + [kernels[u] for u in vspace(p, n).proj_reps]
     lines, _ = line_structure(p, n)
     counts = {
         "raw": (d_hi - d_lo) * len(options) ** k,
@@ -503,12 +506,15 @@ def search_sigma(
     override_cap: bool = False,
 ) -> SweepReport:
     """Sweep projective permutations sigma and test each span set P_sigma for
-    bilinearity.  Exhaustive mode ranks all k! permutations lexicographically;
-    samples mode draws `samples` seeded permutations instead.  Projective
-    sigma must never produce a non-bilinear set."""
+    bilinearity.  Exhaustive mode ranks all k! permutations lexicographically
+    and raises ValueError if given a sample count or seed; samples mode draws
+    `samples` seeded permutations instead.  Projective sigma must never
+    produce a non-bilinear set."""
     _check_sizes(p, n)
     k = _npoints(p, n)
     if mode == "exhaustive":
+        if samples is not None or seed is not None:
+            raise ValueError("exhaustive mode takes no sample count or seed")
         total = capped_factorial(k, override_cap, "permutation sweep")
         tables = None
         parameters = {"p": p, "n": n, "mode": "exhaustive"}

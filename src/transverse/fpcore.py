@@ -30,14 +30,11 @@ __all__ = [
     "complement",
     "decode",
     "encode",
-    "intersect",
     "is_prime",
-    "member",
     "proj_enumerate",
     "rref",
     "rref_kernel",
     "span",
-    "subspace_sum",
     "vspace",
 ]
 
@@ -191,21 +188,6 @@ class MatP:
         if v.p != self.p or v.n != self.ncols:
             raise ValueError("dimension or field mismatch")
         return VecP(self.p, tuple(sum(r * c for r, c in zip(row, v.coords)) for row in self.entries))
-
-    def transpose(self) -> "MatP":
-        return MatP(self.p, tuple(zip(*self.entries)) if self.entries else ())
-
-    def __matmul__(self, other: "MatP") -> "MatP":
-        if self.p != other.p or self.ncols != other.nrows:
-            raise ValueError("dimension or field mismatch")
-        ot = list(zip(*other.entries))
-        return MatP(
-            self.p,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            ),
-        )
 
 
 def rref(rows, p: int):
@@ -378,9 +360,6 @@ class Subspace:
             out.append(encode(acc, self.p))
         return out
 
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.member(VecP(self.p, b)) for b in other.basis)
-
 
 def span(vectors, p: int | None = None, ambient: int | None = None) -> Subspace:
     """Subspace spanned by an iterable of VecP (or coordinate tuples)."""
@@ -396,31 +375,6 @@ def span(vectors, p: int | None = None, ambient: int | None = None) -> Subspace:
     if p is None or ambient is None:
         raise ValueError("empty span needs explicit p and ambient")
     return Subspace.from_rows(rows, p, ambient)
-
-
-def member(s: Subspace, v: VecP) -> bool:
-    return s.member(v)
-
-
-def intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection, computed through duals: (S ^perp + T ^perp) ^perp."""
-    if s.p != t.p or s.ambient != t.ambient:
-        raise ValueError("dimension or field mismatch")
-    sd = _dual(s)
-    td = _dual(t)
-    return _dual(Subspace.from_rows(sd.basis + td.basis, s.p, s.ambient))
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    if s.p != t.p or s.ambient != t.ambient:
-        raise ValueError("dimension or field mismatch")
-    return Subspace.from_rows(s.basis + t.basis, s.p, s.ambient)
-
-
-def _dual(s: Subspace) -> Subspace:
-    """Orthogonal complement with respect to the standard dot product."""
-    _, kern, _ = rref_kernel(MatP(s.p, s.basis or ((0,) * s.ambient,)))
-    return kern
 
 
 def complement(phi: VecP) -> Subspace:

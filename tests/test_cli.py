@@ -136,6 +136,12 @@ def test_cli_usage_errors(tmp_path, capsys):
         (["verify", "collineation", "--n", "0"], "dimensions must be at least 1"),
         (["verify", "sigma-search", "--mode", "samples", "--samples", "-1", "--seed", "1"],
          "samples must be at least 1"),
+        (["--jobs", "1", "verify", "sigma-search", "--p", "2", "--n", "2", "--samples", "5",
+          "--seed", "1"], "exhaustive mode takes no sample count or seed"),
+        (["verify", "sigma-search", "--n", "2", "--mode", "exhaustive", "--samples", "0"],
+         "exhaustive mode takes no sample count or seed"),
+        (["verify", "sigma-search", "--n", "2", "--seed", "1"],
+         "exhaustive mode takes no sample count or seed"),
     ]:
         assert run(argv) == 2
         assert message in capsys.readouterr().err
@@ -162,16 +168,20 @@ def test_construct_with_a_bad_dimension_is_a_usage_error(n, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_import_leaves_mpmath_unloaded():
-    code = ("import sys, transverse.cli; print('mpmath' in sys.modules); "
-            "sys.exit(transverse.cli.run(['verify', 'counting']))")
+def test_cli_loads_only_the_standard_library():
+    # a diff against the modules present at start-up, which .pth files may add to
+    code = ("import sys; before = set(sys.modules); import transverse.cli; "
+            "code = transverse.cli.run(['verify', 'counting']); "
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'transverse', '__mp_main__'})); "
+            "sys.exit(code)")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "VERIFIED counting"
+    assert lines[-2] == "VERIFIED counting"
+    assert lines[-1] == "[]"
 
 
 def test_cli_verify_counting(tmp_path):
@@ -334,6 +344,8 @@ def test_parser_is_built_once_and_parses_afresh():
     ({"sweep": "verify_collineation_lemma", "p": 4, "n_dom": 2, "n_cod": 2}, "p must be prime"),
     ({"sweep": "search_sigma", "p": 2, "n": 3, "mode": "samples", "samples": 0, "seed": 1},
      "samples must be at least 1"),
+    ({"sweep": "search_sigma", "p": 2, "n": 2, "mode": "exhaustive", "samples": 5, "seed": 1},
+     "exhaustive mode takes no sample count or seed"),
 ])
 def test_malformed_sweep_certificate_is_a_usage_error(parameters, message, tmp_path, capsys):
     cert = _write_cert(str(tmp_path / "c.json"), "sweep_report", parameters, {})

@@ -1,10 +1,13 @@
 """Gaussian binomials, subspace bounds, and the existence inequalities."""
 
 import math
+import time
+from decimal import Decimal, localcontext
 
 import pytest
 
 from transverse.counting import (
+    _exceeds_e_power,
     bijection_vs_projective,
     gaussian_binomial,
     inequality_check,
@@ -12,7 +15,7 @@ from transverse.counting import (
     proj_count,
     subspace_counts,
 )
-from transverse.fpcore import all_subspaces, proj_enumerate
+from transverse.fpcore import CapExceeded, all_subspaces, is_prime, proj_enumerate
 
 
 def test_gaussian_binomial_values():
@@ -94,3 +97,56 @@ def test_input_validation():
     # out-of-range dimensions count zero subspaces rather than raising
     assert gaussian_binomial(-1, 0, 2) == 0
     assert gaussian_binomial(3, 5, 2) == 0
+
+
+def log_domain_decision(p, n, mode):
+    """The decision inequality_check made in logarithms before it went exact,
+    kept as a reference: (verdict, gap between the sides relative to the
+    larger one)."""
+    m = p ** (n - 1)
+    rhs = math.log(32 / 15) + n**4 / 2 * math.log(p)
+    lhs = m * ((n - 1) * math.log(p) - 1) if mode == "stirling" else math.lgamma(m + 1)
+    return lhs > rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+# (p, n, mode) cases compared; none in this range has a gap under 1e-9
+COMPARED = 138
+
+
+def test_exact_decision_matches_the_log_domain_reference():
+    # every prime up to 47, every n with m = p^(n-1) up to 2^16 (the calls
+    # near the cap take seconds to a minute each), both modes
+    compared = 0
+    for p in filter(is_prime, range(48)):
+        n = 2
+        while p ** (n - 1) <= 1 << 16:
+            for mode in ("stirling", "exact_factorial"):
+                verdict, gap = log_domain_decision(p, n, mode)
+                if gap > 1e-9:
+                    assert inequality_check(p, n, mode) == verdict, (p, n, mode)
+                    compared += 1
+            n += 1
+    assert compared == COMPARED
+
+
+def test_calls_past_the_cap_refuse_before_building_operands():
+    for p, n, mode in ((2, 64, "stirling"), (2, 64, "exact_factorial"),
+                       (47, 64, "exact_factorial"), (2, 22, "stirling"),
+                       (2, 22, "exact_factorial"), (47, 5, "stirling"),
+                       (3, 14, "stirling"), (3, 14, "exact_factorial")):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            inequality_check(p, n, mode)
+        assert time.perf_counter() - start < 0.01, (p, n, mode)
+
+
+def test_e_power_bracket_settles_near_ties():
+    # floor(rhs e^(2m)) < rhs e^(2m) < floor + 1, from 120 digits of e^(2m);
+    # ties that close take the bracket for e up to k = 36
+    for m in range(1, 25):
+        for rhs in (1, 15**2, 10**20 + 7):
+            with localcontext() as ctx:
+                ctx.prec = 120
+                below = int(Decimal(rhs) * Decimal(2 * m).exp())
+            assert not _exceeds_e_power(below, rhs, m), (m, rhs)
+            assert _exceeds_e_power(below + 1, rhs, m), (m, rhs)

@@ -129,6 +129,9 @@ def test_every_sweep_takes_jobs_and_override_cap():
     lambda: verify_collineation_lemma(6, 9, 9),
     lambda: fundamental_sweep(1, 3),
     lambda: xi_line_sweep(4),
+    lambda: search_sigma(2, 2, samples=0),  # exhaustive mode reads no samples or seed
+    lambda: search_sigma(2, 2, samples=5, seed=1),
+    lambda: search_sigma(2, 2, seed=1),
 ])
 def test_bad_sizes_are_value_errors_before_the_cap(call, monkeypatch):
     monkeypatch.setattr(explorer, "_map_ranges", None)  # nothing may run
