@@ -132,7 +132,7 @@ def _coords_table(sub: Subspace) -> dict:
     )
 
 
-def _coords_in(sub: Subspace, index: int, n: int):
+def _coords_in(sub: Subspace, index: int):
     c = _coords_table(sub).get(index)
     if c is None:
         raise ValueError(
@@ -156,8 +156,8 @@ def ann(a: PairSet, w1: Subspace | None = None, w2: Subspace | None = None) -> F
     d1, d2 = w1.dim, w2.dim
     rows = set()
     for xi, yi in a.pair_indices():
-        ca = _coords_in(w1, xi, a.n1)
-        cb = _coords_in(w2, yi, a.n2)
+        ca = _coords_in(w1, xi)
+        cb = _coords_in(w2, yi)
         rows.add(tuple(ai * bj % a.p for ai in ca for bj in cb))
     if not rows:
         # empty set: every form vanishes

@@ -571,9 +571,10 @@ def _cmd_check(args) -> int:
                 print(f"closure witness: {verdict.witness}")
         elif args.what == "ann":
             verdict_ok = True
-            print(f"annihilator dimension {ann(a).dim} over the full ambient; "
+            full = ann(a)
+            print(f"annihilator dimension {full.dim} over the full ambient; "
                   f"{verdict.r3} over the projection spans")
-            for mat in _form_matrices(ann(a)):
+            for mat in _form_matrices(full):
                 print(f"  {mat}")
         else:  # closure
             verdict_ok = True

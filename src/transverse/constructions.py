@@ -176,7 +176,14 @@ def build_P_xi(
     hyperplane orthogonal to the image of the class of x mod w.
     """
     p = xi_prime.p
-    _check_xi_spaces(p, w, l, xi_prime.n_dom, xi_prime.n_cod)
+    if w.p != p or l.p != p:
+        raise ValueError("field mismatch")
+    if w.codim != 2:
+        raise ValueError(f"w must have codimension 2, got {w.codim}")
+    if l.dim != 2:
+        raise ValueError(f"l must be 2-dimensional, got dim {l.dim}")
+    if xi_prime.n_dom != 2 or xi_prime.n_cod != l.ambient:
+        raise ValueError("xi_prime must map a projective line into the ambient of l")
     for pt in xi_prime.images:
         if not l.member(pt.vector()):
             raise ValueError("xi_prime image lies outside l")
@@ -184,20 +191,6 @@ def build_P_xi(
     check_cap(p ** (n1 + n2), override_cap, "pair space")
     cod = vspace(p, n2).class_of
     return PairSet(p, n1, n2, _xi_mask(w, n2, tuple(cod[pt.index] for pt in xi_prime.images)))
-
-
-def _check_xi_spaces(p: int, w: Subspace, l: Subspace, n_dom: int, n_cod: int) -> None:
-    """The checks of build_P_xi that do not read the images: both
-    subspaces over F_p, w of codimension 2, l of dimension 2, and a map
-    from a projective line into the ambient of l."""
-    if w.p != p or l.p != p:
-        raise ValueError("field mismatch")
-    if w.codim != 2:
-        raise ValueError(f"w must have codimension 2, got {w.codim}")
-    if l.dim != 2:
-        raise ValueError(f"l must be 2-dimensional, got dim {l.dim}")
-    if n_dom != 2 or n_cod != l.ambient:
-        raise ValueError("xi_prime must map a projective line into the ambient of l")
 
 
 def _xi_mask(w: Subspace, n2: int, images: tuple[int, ...]) -> int:

@@ -1,8 +1,8 @@
 """Exhaustive sweeps over small parameter spaces: every claim the library
 makes about transverse and bilinear sets at desk scale is re-checked here by
-brute force, candidate by candidate.  The collineation sweep skips whole
-blocks of ranks that a failed line has already ruled out; every map it does
-not visit fails the line condition.
+brute force, candidate by candidate.  The classification and collineation
+sweeps share one fiber-map DFS (_fiber_maps) that prunes on the line
+condition; every candidate it does not visit fails that condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .bilinear import FormSpace, _check_forms, _form_zero_mask, is_bilinear, orth
-from .constructions import _check_xi_spaces, _sigma_mask, _xi_mask
+from .constructions import _sigma_mask, _xi_mask
 from .detrng import SplitMix64, exchange_shuffle
 from .fpcore import (
     CapExceeded,
@@ -54,13 +54,10 @@ from .pairsets import (
     sumset_word,
     transversality_violation,
 )
-from .projgeom import (
-    _first_failing_line,
-    _line_condition,
-    _line_tables,
-    _recognize_table,
-    line_structure,
-)
+# line_structure is read through the module at call time, so that a line
+# table substituted in projgeom is the one the fiber-map sweeps use
+from . import projgeom
+from .projgeom import _line_condition, _recognize_table
 
 __all__ = [
     "BogolyubovReport",
@@ -364,9 +361,9 @@ def _classify_leaf(p, n, size, f0, fibers, full, span):
 
 
 def _fiber_maps(f0: int, options: list, lines: tuple, k: int, leaf) -> None:
-    """Call leaf(fibers) for every assignment of an option to each of the k
-    projective classes, in digit order, whose fibers lie inside f0 and
-    satisfy the line condition: on each line (a tuple of class ids), the
+    """Call leaf(fibers) for every assignment of an option in options[j] to
+    each projective class j < k, in digit order, whose fibers lie inside f0
+    and satisfy the line condition: on each line (a tuple of class ids), the
     intersection of any two fibers lies inside every fiber.  The fibers
     list is reused between calls.
 
@@ -379,14 +376,14 @@ def _fiber_maps(f0: int, options: list, lines: tuple, k: int, leaf) -> None:
     inter = [0] * len(lines)
     meet = [-1] * len(lines)
     fibers = [0] * k
-    allowed = [fm for fm in options if not fm & ~f0]
+    allowed = [[fm for fm in opts if not fm & ~f0] for opts in options]
 
     def descend(j):
         if j == k:
             leaf(fibers)
             return
         ls = through[j]
-        for fm in allowed:
+        for fm in allowed[j]:
             for li in ls:
                 if (inter[li] | union[li] & fm) & ~(meet[li] & fm):
                     break
@@ -415,7 +412,7 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     full = (1 << p**n) - 1
     kernels = _kernel_masks(p, n)
     options = [full] + [kernels[u] for u in vspace(p, n).proj_reps]
-    lines, _ = line_structure(p, n)
+    lines, _ = projgeom.line_structure(p, n)
     counts = {
         "raw": (d_hi - d_lo) * len(options) ** k,
         "valid": 0,
@@ -439,7 +436,7 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
             counts["bilinear"] += 1
 
     for d0 in range(d_lo, d_hi):
-        _fiber_maps(options[d0], options, lines, k, partial(leaf, options[d0]))
+        _fiber_maps(options[d0], [options] * k, lines, k, partial(leaf, options[d0]))
     counts["rejected"] = counts["raw"] - counts["valid"]
     return counts, []
 
@@ -541,55 +538,46 @@ def search_sigma(
 # --------------------------------------------------------- collineation sweep
 
 
-def _collineation_range(args: tuple, lo: int, hi: int):
-    """Maps of rank in [lo, hi), as mixed-radix digit tables with digit i
-    the image class of domain class i (digit 0 most significant).  A line
-    failing with largest class id j rules out every table sharing digits
-    0..j, a block of kc**(kd-1-j) consecutive ranks, so the odometer steps
-    digit j and skips the rest of that block."""
+def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
+    """Maps whose image of domain class 0 lies in [d_lo, d_hi), as digit
+    tables with digit i the image class of domain class i (digit 0 most
+    significant).  By duality the line condition is the fiber-map one: with
+    H_c the kernel of the representative of codomain class c, H_a & H_b
+    lies inside H_t iff t is on the span of a and b (t = a when a = b).  So
+    _fiber_maps over the hyperplanes, under the full space, visits exactly
+    the maps that keep lines collinear, in rank order."""
     p, n_dom, n_cod = args
     kd = _npoints(p, n_dom)
     kc = _npoints(p, n_cod)
-    lines, cod_span = _line_tables(p, n_dom, n_cod)
-    block = [kc ** (kd - 1 - j) for j in range(kd)]
+    kernels = _kernel_masks(p, n_cod)
+    hyper = [kernels[u] for u in vspace(p, n_cod).proj_reps]
+    class_of = {h: c for c, h in enumerate(hyper)}
+    lines, _ = projgeom.line_structure(p, n_dom)
     counts = {
-        "maps": hi - lo,
+        "maps": (d_hi - d_lo) * kc ** (kd - 1),
         "line_condition": 0,
         "constant": 0,
         "injective": 0,
         "violations": 0,
     }
     witnesses = []
-    digits = [0] * kd
-    r = lo
-    for i in range(kd - 1, -1, -1):
-        r, digits[i] = divmod(r, kc)
-    rank = lo
-    while rank < hi:
-        j = _first_failing_line(lines, cod_span, digits)
-        if j < 0:
-            counts["line_condition"] += 1
-            distinct = len(set(digits))
-            if distinct == 1:
-                counts["constant"] += 1
-            elif distinct == kd:
-                counts["injective"] += 1
-            else:
-                counts["violations"] += 1
-                if len(witnesses) < 8:
-                    witnesses.append([rank, list(digits)])
-            j = kd - 1
-        # odometer step: clear the digits after j, then add one at digit j
-        rank = (rank // block[j] + 1) * block[j]
-        for i in range(j + 1, kd):
-            digits[i] = 0
-        i = j
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < kc:
-                break
-            digits[i] = 0
-            i -= 1
+
+    def leaf(fibers):
+        digits = [class_of[f] for f in fibers]
+        counts["line_condition"] += 1
+        distinct = len(set(digits))
+        if distinct == 1:
+            counts["constant"] += 1
+        elif distinct == kd:
+            counts["injective"] += 1
+        else:
+            counts["violations"] += 1
+            if len(witnesses) < 8:
+                rank = sum(d * kc ** (kd - 1 - i) for i, d in enumerate(digits))
+                witnesses.append([rank, digits])
+
+    full = (1 << p**n_cod) - 1
+    _fiber_maps(full, [hyper[d_lo:d_hi]] + [hyper] * (kd - 1), lines, kd, leaf)
     return counts, witnesses
 
 
@@ -599,10 +587,10 @@ def verify_collineation_lemma(
     """Enumerate every total map between projective point sets and check that
     the ones satisfying the line condition are constant or injective."""
     _check_sizes(p, n_dom, n_cod)
-    total = _npoints(p, n_cod) ** _npoints(p, n_dom)
-    check_cap(total, override_cap, "total-map enumeration")
+    kc = _npoints(p, n_cod)
+    check_cap(kc ** _npoints(p, n_dom), override_cap, "total-map enumeration")
     return _sweep("verify_collineation_lemma", {"p": p, "n_dom": n_dom, "n_cod": n_cod},
-                  _collineation_range, (p, n_dom, n_cod), total, jobs, _no_violations)
+                  _collineation_digits, (p, n_dom, n_cod), kc, jobs, _no_violations)
 
 
 # ---------------------------------------------------------- fundamental sweep
@@ -649,8 +637,6 @@ def _xi_range(args: tuple, lo: int, hi: int):
     (p,) = args
     k = _npoints(p, 2)
     w = Subspace.zero(p, 2)
-    # l = F_p^2 holds every image, so build_P_xi's image check is void here
-    _check_xi_spaces(p, w, Subspace.full(p, 2), 2, 2)
     counts = {
         "bijections": hi - lo,
         "projective": 0,

@@ -503,23 +503,22 @@ class _VSpace:
         self.p = p
         self.n = n
         self.size = p**n
-        check_cap(self.size, what=f"materializing F_{p}^{n}")
+        if self.size > _TABLE_LIMIT:
+            raise ValueError(f"F_{p}^{n} has {self.size} vectors, past the table limit "
+                             f"of {_TABLE_LIMIT}")
         self.coords = tuple(decode(i, p, n) for i in range(self.size))
-        if self.size <= _TABLE_LIMIT:
-            # built digit by digit: entry (d p^j + a, e p^j + b) of the table
-            # over F_p^(j+1) is add[a][b] + ((d + e) % p) p^j
-            add = [[0]]
-            for j in range(n):
-                w = p**j
-                add = [[v + (d + e) % p * w for e in range(p) for v in row]
-                       for d in range(p) for row in add]
-            self.add = add
-            self.scale = [
-                [encode([lam * c % p for c in v], p) for v in self.coords] for lam in range(p)
-            ]
-            self.neg = self.scale[p - 1]
-        else:  # pragma: no cover - beyond desk scale
-            raise CapExceeded(f"F_{p}^{n} exceeds the table limit {_TABLE_LIMIT}")
+        # built digit by digit: entry (d p^j + a, e p^j + b) of the table
+        # over F_p^(j+1) is add[a][b] + ((d + e) % p) p^j
+        add = [[0]]
+        for j in range(n):
+            w = p**j
+            add = [[v + (d + e) % p * w for e in range(p) for v in row]
+                   for d in range(p) for row in add]
+        self.add = add
+        self.scale = [
+            [encode([lam * c % p for c in v], p) for v in self.coords] for lam in range(p)
+        ]
+        self.neg = self.scale[p - 1]
         # projective classes: reps ascending; class_of[i] = position into reps
         reps = []
         class_of = [-1] * self.size

@@ -104,35 +104,19 @@ def _image_class_table(m) -> tuple[int, ...]:
     return tuple(cod.class_of[pt.index] for pt in m.images)
 
 
-def _line_tables(p: int, n_dom: int, n_cod: int):
-    """Lines of the domain in order of their largest class id, and the
-    pair-span masks of the codomain."""
+def _line_condition(p, n_dom, n_cod, img_classes) -> bool:
+    """Whether the image class table keeps every line of P(F_p^n_dom)
+    collinear: for any two points of a line, the images of all its points
+    lie in the span of their two images."""
     lines, _ = line_structure(p, n_dom)
     _, cod_span = line_structure(p, n_cod)
-    return sorted(lines, key=lambda ids: ids[-1]), cod_span
-
-
-def _first_failing_line(lines, cod_span, img_classes) -> int:
-    """Largest class id of the first line whose image breaks the line
-    condition, or -1 when every line passes.
-
-    With `lines` ordered by largest id, a failure at id j depends only on
-    the images of classes 0..j, so every table that agrees there fails too.
-    """
     for ids in lines:
-        k = len(ids)
-        for i in range(k):
-            ci = img_classes[ids[i]]
-            for j in range(i + 1, k):
-                mask = cod_span[ci][img_classes[ids[j]]]
-                for t in range(k):
-                    if t != i and t != j and not mask >> img_classes[ids[t]] & 1:
-                        return ids[-1]
-    return -1
-
-
-def _line_condition(p, n_dom, n_cod, img_classes) -> bool:
-    return _first_failing_line(*_line_tables(p, n_dom, n_cod), img_classes) < 0
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                mask = cod_span[img_classes[a]][img_classes[b]]
+                if not all(mask >> img_classes[t] & 1 for t in ids):
+                    return False
+    return True
 
 
 def is_line_preserving(m) -> bool:

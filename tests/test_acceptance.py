@@ -157,7 +157,8 @@ def test_criterion_7_counting_bundle():
 
 
 def test_criterion_8_property_suite():
-    """At least 10^4 seeded random property cases in under two minutes."""
+    """At least 10^4 property cases in under two minutes, the time summed
+    over the families' own runs (each family runs once per session)."""
     cases, elapsed = test_properties.run_suite()
     assert cases >= 10_000
     assert elapsed < 120.0

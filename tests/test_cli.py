@@ -319,6 +319,19 @@ def test_override_cap_lifts_the_powerset_limit(monkeypatch):
     assert seen == [True]
 
 
+@pytest.mark.parametrize("flags", [[], ["--override-cap"]])
+def test_table_limit_is_a_usage_error(flags, tmp_path, capsys):
+    # F_2^13 passes the 4,096-vector table limit, which no flag lifts: exit
+    # 2 with or without --override-cap, and no advice to pass it
+    out = str(tmp_path / "big.json")
+    assert run(flags + ["construct", "p-sigma", "--p", "2", "--n", "13", "--seed", "1",
+                        "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "table limit of 4096" in err
+    assert "--override-cap" not in err
+    assert not os.path.exists(out)
+
+
 def test_parser_is_built_once_and_parses_afresh():
     assert cli._build_parser() is cli._build_parser()
     one = cli._build_parser().parse_args(["verify", "exhaustive", "--p", "3"])

@@ -276,7 +276,8 @@ def test_collineation_p2_dom3_cod2():
 
 
 def _collineation_reference(p, n_dom, n_cod, lo, hi):
-    """Per-rank count with the reference line condition: no skipping."""
+    """Per-rank count with the reference line condition: every rank in
+    [lo, hi) is decoded and checked."""
     kd = explorer._npoints(p, n_dom)
     kc = explorer._npoints(p, n_cod)
     counts = {"maps": hi - lo, "line_condition": 0, "constant": 0, "injective": 0, "violations": 0}
@@ -298,39 +299,21 @@ def _collineation_reference(p, n_dom, n_cod, lo, hi):
     return counts, witnesses
 
 
-def _inside_skipped_block(p, n_dom, n_cod):
-    """Ranks that the pruned odometer skips without visiting: the first
-    failing line of the map ends at class j < kd - 1 and the rank is not
-    the first of its block of kc**(kd-1-j) ranks."""
-    kd = explorer._npoints(p, n_dom)
-    kc = explorer._npoints(p, n_cod)
-    lines, cod_span = projgeom._line_tables(p, n_dom, n_cod)
-    out = []
-    for rank in range(kc**kd):
-        digits = [rank // kc ** (kd - 1 - i) % kc for i in range(kd)]
-        j = projgeom._first_failing_line(lines, cod_span, digits)
-        if 0 <= j < kd - 1 and rank % kc ** (kd - 1 - j):
-            out.append(rank)
-    return out
-
-
-@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 2, 3),
+                                   (5, 2, 2)])
 def test_pruned_collineation_matches_per_rank_count(shape):
+    # the fiber-map DFS against the per-rank line condition: on all ranks,
+    # and on each range of one first digit, the ranks d * block to
+    # (d + 1) * block - 1
     p, n_dom, n_cod = shape
-    total = explorer._npoints(p, n_cod) ** explorer._npoints(p, n_dom)
-    assert explorer._collineation_range(shape, 0, total) == _collineation_reference(
-        *shape, 0, total
+    kc = explorer._npoints(p, n_cod)
+    block = kc ** (explorer._npoints(p, n_dom) - 1)
+    assert explorer._collineation_digits(shape, 0, kc) == _collineation_reference(
+        *shape, 0, kc * block
     )
-    # a projective line is its own only line, so only a domain of dimension
-    # 3 leaves ranks to skip; elsewhere the sub-ranges are drawn from all ranks
-    inside = _inside_skipped_block(*shape)
-    assert bool(inside) == (n_dom >= 3)
-    ends = inside or range(total + 1)
-    rng = SplitMix64(54 + total)
-    for _ in range(12):
-        lo, hi = sorted(ends[rng.below(len(ends))] for _ in range(2))
-        assert explorer._collineation_range(shape, lo, hi) == _collineation_reference(
-            *shape, lo, hi
+    for d in range(kc):
+        assert explorer._collineation_digits(shape, d, d + 1) == _collineation_reference(
+            *shape, d * block, (d + 1) * block
         )
 
 

@@ -202,3 +202,10 @@ def test_vspace_tables_match_coordinate_arithmetic(p, n):
             assert sp.add[i][j] == encode([(a + b) % p for a, b in zip(u, v)], p)
         for lam in range(p):
             assert sp.scale[lam][i] == encode([lam * a % p for a in u], p)
+
+
+def test_vspace_past_the_table_limit_is_a_usage_error():
+    # the 4,096-vector table limit is not an enumeration cap: no override
+    # lifts it, so it is a ValueError rather than CapExceeded
+    with pytest.raises(ValueError, match=r"F_2\^13 has 8192 vectors, past the table limit of 4096"):
+        vspace(2, 13)

@@ -11,11 +11,14 @@ the list path (_fiber_span, _check_forms), the fiber-map DFS on running
 per-line masks against the pairwise rescan of every line, the fiber-map core
 against the pair-by-pair set, the span-set and P_xi cores on class tables
 against the per-pair and per-x constructions, and the vertical sumset on the
-compact fibers against the pair-by-pair sum.
+compact fibers against the pair-by-pair sum.  The line_duality family
+checks, on every class triple at six shapes, that the hyperplane fibers
+turn the collineation line condition into the fiber-map one.
 
-Each family draws its cases from a SplitMix64 stream, so every run checks the
-same cases.  The counts below total more than ten thousand cases; the whole
-suite is also callable as run_suite() which reports (cases, seconds).
+Each random family draws its cases from a SplitMix64 stream, so every run
+checks the same cases.  The counts below total more than ten thousand
+cases.  Each family runs once per session (run_family); the per-family
+tests and run_suite(), which reports (cases, seconds), read those runs.
 """
 
 import time
@@ -60,6 +63,7 @@ from transverse.pairsets import (
     _fiber_map_mask,
     _fiber_read,
     _iter_bits,
+    _kernel_masks,
     _span_mask,
     dir_sum,
     is_transverse,
@@ -99,6 +103,8 @@ COUNTS = {
     "span_gf2": 2 * 125 + 5_040 + 2_000,
     # classification options at four shapes, then random option lists
     "line_masks": 4 + 5 + 8 + 7 + 60,
+    # every class triple at six shapes
+    "line_duality": 3**3 + 7**3 + 4**3 + 15**3 + 13**3 + 6**3,
     # random fiber maps, P_sigma cases, then P_xi: every permutation at
     # p = 2, 3, 5 on the sweep's frame, then random frames
     "table_cores": FIBER_MAP_CORE_CASES + SIGMA_CORE_CASES + 6 + 24 + 720 + 240,
@@ -693,12 +699,34 @@ def family_line_masks(cases, seed=113):
         lines, _ = line_structure(p, n)
         k = len(vspace(p, n).proj_reps)
         got, want = [], []
-        _fiber_maps(f0, options, lines, k, lambda fibers: got.append(tuple(fibers)))
+        _fiber_maps(f0, [options] * k, lines, k, lambda fibers: got.append(tuple(fibers)))
         reference_fiber_maps(f0, options, lines, k, lambda fibers: want.append(tuple(fibers)))
         assert got == want, (p, n, f0, options)
         leaves += len(got)
     assert leaves > 1000, leaves
     return cases
+
+
+LINE_DUALITY_SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (5, 2))
+
+
+def family_line_duality(cases):
+    """The collineation line condition is the fiber-map one: with H_c the
+    kernel of the representative of class c, H_a & H_b lies inside H_t iff
+    t is on the span of a and b (t = a when a = b), for every class triple
+    (a, b, t) of each shape."""
+    done = 0
+    for p, n in LINE_DUALITY_SHAPES:
+        kernels = _kernel_masks(p, n)
+        hyper = [kernels[u] for u in vspace(p, n).proj_reps]
+        _, span_mask = line_structure(p, n)
+        for a, ha in enumerate(hyper):
+            for b, hb in enumerate(hyper):
+                for t, ht in enumerate(hyper):
+                    assert (ha & hb & ~ht == 0) == bool(span_mask[a][b] >> t & 1), (p, n, a, b, t)
+                    done += 1
+    assert done == cases, done
+    return done
 
 
 def family_form_zero_mask(cases, seed=107):
@@ -876,48 +904,63 @@ FAMILIES = {
     "rref_gf2": family_rref_gf2,
     "span_gf2": family_span_gf2,
     "line_masks": family_line_masks,
+    "line_duality": family_line_duality,
     "table_cores": family_table_cores,
     "dir_sum_oracle": family_dir_sum_oracle,
 }
 
 
+_RUNS = {}
+
+
+def run_family(name):
+    """(cases, seconds) of one family at its configured size, run once per
+    session; a family that raises is not recorded, so its own test still
+    fails with its own assertion."""
+    if name not in _RUNS:
+        start = time.perf_counter()
+        cases = FAMILIES[name](COUNTS[name])
+        _RUNS[name] = cases, time.perf_counter() - start
+    return _RUNS[name]
+
+
 def run_suite():
-    """Run every family at its configured size; returns (cases, seconds)."""
-    start = time.perf_counter()
-    total = sum(FAMILIES[name](count) for name, count in COUNTS.items())
-    return total, time.perf_counter() - start
+    """Every family at its configured size; returns (cases, seconds), the
+    seconds summed over the families' own runs."""
+    runs = [run_family(name) for name in COUNTS]
+    return sum(c for c, _ in runs), sum(t for _, t in runs)
 
 
 def test_family_galois():
-    assert family_galois(COUNTS["galois"]) == COUNTS["galois"]
+    assert run_family("galois")[0] == COUNTS["galois"]
 
 
 def test_family_closure():
-    assert family_closure(COUNTS["closure"]) == COUNTS["closure"]
+    assert run_family("closure")[0] == COUNTS["closure"]
 
 
 def test_family_span_closure():
-    assert family_span_closure(COUNTS["span_closure"]) == COUNTS["span_closure"]
+    assert run_family("span_closure")[0] == COUNTS["span_closure"]
 
 
 def test_family_form_zero_mask():
-    assert family_form_zero_mask(COUNTS["form_zero_mask"]) == COUNTS["form_zero_mask"]
+    assert run_family("form_zero_mask")[0] == COUNTS["form_zero_mask"]
 
 
 def test_family_fiber_oracle():
-    assert family_fiber_oracle(COUNTS["fiber_oracle"]) == COUNTS["fiber_oracle"]
+    assert run_family("fiber_oracle")[0] == COUNTS["fiber_oracle"]
 
 
 def test_family_agreement():
-    assert family_agreement(COUNTS["agreement"]) == COUNTS["agreement"]
+    assert run_family("agreement")[0] == COUNTS["agreement"]
 
 
 def test_family_phi_fixpoint():
-    assert family_phi_fixpoint(COUNTS["phi_fixpoint"]) >= COUNTS["phi_fixpoint"]
+    assert run_family("phi_fixpoint")[0] >= COUNTS["phi_fixpoint"]
 
 
 def test_family_dir_sum_symmetry():
-    assert family_dir_sum_symmetry(COUNTS["dir_sum_symmetry"]) >= COUNTS["dir_sum_symmetry"]
+    assert run_family("dir_sum_symmetry")[0] >= COUNTS["dir_sum_symmetry"]
 
 
 def test_total_case_budget():
@@ -925,29 +968,32 @@ def test_total_case_budget():
 
 
 def test_family_transversality_oracle():
-    assert family_transversality_oracle(COUNTS["transversality_oracle"]) == COUNTS[
-        "transversality_oracle"]
+    assert run_family("transversality_oracle")[0] == COUNTS["transversality_oracle"]
 
 
 def test_family_recognition_oracle():
-    assert family_recognition_oracle(COUNTS["recognition_oracle"]) == COUNTS["recognition_oracle"]
+    assert run_family("recognition_oracle")[0] == COUNTS["recognition_oracle"]
 
 
 def test_family_rref_gf2():
-    assert family_rref_gf2(COUNTS["rref_gf2"]) == COUNTS["rref_gf2"]
+    assert run_family("rref_gf2")[0] == COUNTS["rref_gf2"]
 
 
 def test_family_span_gf2():
-    assert family_span_gf2(COUNTS["span_gf2"]) == COUNTS["span_gf2"]
+    assert run_family("span_gf2")[0] == COUNTS["span_gf2"]
 
 
 def test_family_line_masks():
-    assert family_line_masks(COUNTS["line_masks"]) == COUNTS["line_masks"]
+    assert run_family("line_masks")[0] == COUNTS["line_masks"]
+
+
+def test_family_line_duality():
+    assert run_family("line_duality")[0] == COUNTS["line_duality"]
 
 
 def test_family_table_cores():
-    assert family_table_cores(COUNTS["table_cores"]) == COUNTS["table_cores"]
+    assert run_family("table_cores")[0] == COUNTS["table_cores"]
 
 
 def test_family_dir_sum_oracle():
-    assert family_dir_sum_oracle(COUNTS["dir_sum_oracle"]) == COUNTS["dir_sum_oracle"]
+    assert run_family("dir_sum_oracle")[0] == COUNTS["dir_sum_oracle"]
