@@ -9,9 +9,11 @@ joint zero set of its annihilator over the spans W1, W2 of the projections.
 A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
-dim W2 - dim S(A).  closure and is_bilinear read A once, through its
-horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of the fibers,
-pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
+dim W2 - dim S(A).  The decision is made one way, on the indicator int, by
+_status(p, n1, n2, ind): is_bilinear wraps its result in a verdict, and the
+sweeps call it on each candidate mask.  _status and closure read A once,
+through its horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of
+the fibers, pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
 x (x) y = lam * (x (x) rep_c), so
 
     S(A) = sum over the projective classes c of F_p^{n2} of span(U_c) (x) rep_c,
@@ -358,12 +360,11 @@ class ClosureResult:
         return _span_ann(self.w1, self.w2, self.span)
 
 
-def _read(a: PairSet) -> tuple:
-    """One fiber read of A: the bitsets of its projections, of their spans
-    W1 and W2, and the closure, looked up by (W1, W2, per-class fiber
-    spans)."""
-    p, n1, n2 = a.p, a.n1, a.n2
-    pi1, pi2, unions = _fiber_read(a)
+def _read(p: int, n1: int, n2: int, ind: int) -> tuple:
+    """One fiber read of the set with indicator ind: the bitsets of its
+    projections, of their spans W1 and W2, and the closure, looked up by
+    (W1, W2, per-class fiber spans)."""
+    pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
     w1 = _span_mask(p, n1, pi1)
     w2 = _span_mask(p, n2, pi2)
     spans = tuple(_span_mask(p, n1, u) for u in unions)
@@ -378,7 +379,7 @@ def closure(a: PairSet) -> ClosureResult:
     contains (0,0)) and idempotent; A is bilinear iff it equals its closure
     and its projections are subspaces.
     """
-    return _read(a)[-1]
+    return _read(a.p, a.n1, a.n2, a.indicator)[-1]
 
 
 @dataclass(frozen=True)
@@ -419,6 +420,29 @@ class BilinearVerdict:
         return self.w1.dim * self.w2.dim - len(self.span)
 
 
+def _status(p: int, n1: int, n2: int, ind: int) -> tuple:
+    """The bilinearity decision on an indicator int: (status, closure
+    result, witness, axis), the fields of is_bilinear's verdict."""
+    pi1, pi2, w1, w2, res = _read(p, n1, n2, ind)
+    if not ind:
+        return "empty", res, None, None
+    axis = None
+    if pi1 != w1:
+        axis = "first"
+    elif pi2 != w2:
+        axis = "second"
+    extra = res.closed.indicator & ~ind
+    if ind & ~res.closed.indicator:
+        raise AssertionError("closure is not extensive; this is a bug")
+    if axis is None and not extra:
+        return "bilinear", res, None, None
+    witness = None
+    if extra:
+        i = (extra & -extra).bit_length() - 1
+        witness = (i % p**n1, i // p**n1)
+    return "non_bilinear", res, witness, axis
+
+
 def is_bilinear(a: PairSet) -> BilinearVerdict:
     """Decide whether A = {(x, y) in W1 x W2 : all forms in M vanish} for
     some subspaces W1, W2 and form space M.
@@ -427,23 +451,5 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
     A, so the decision reduces to: both projections are subspaces and A
     equals its bilinear closure.  The empty set gets its own status.
     """
-    pi1, pi2, w1, w2, res = _read(a)
-    fields = (res.w1, res.w2, res.span, res.closed)
-    if not a.indicator:
-        return BilinearVerdict("empty", *fields, None, None)
-    axis = None
-    if pi1 != w1:
-        axis = "first"
-    elif pi2 != w2:
-        axis = "second"
-    extra = res.closed.indicator & ~a.indicator
-    if a.indicator & ~res.closed.indicator:
-        raise AssertionError("closure is not extensive; this is a bug")
-    witness = None
-    if extra:
-        i = (extra & -extra).bit_length() - 1
-        m1 = a.p**a.n1
-        witness = (i % m1, i // m1)
-    if axis is None and not extra:
-        return BilinearVerdict("bilinear", *fields, None, None)
-    return BilinearVerdict("non_bilinear", *fields, witness, axis)
+    status, res, witness, axis = _status(a.p, a.n1, a.n2, a.indicator)
+    return BilinearVerdict(status, res.w1, res.w2, res.span, res.closed, witness, axis)

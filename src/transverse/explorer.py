@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 
-from .bilinear import FormSpace, _check_forms, _form_zero_mask, is_bilinear, orth
+from .bilinear import FormSpace, _check_forms, _form_zero_mask, _status, orth
 from .constructions import _sigma_mask, _xi_mask
 from .detrng import SplitMix64, exchange_shuffle
 from .fpcore import (
@@ -48,11 +48,11 @@ from .pairsets import (
     PairSet,
     SingleSet,
     _fiber_map_mask,
+    _fiber_map_read,
     _kernel_masks,
     phi,
     subspace_mask,
     sumset_word,
-    transversality_violation,
 )
 # line_structure is read through the module at call time, so that a line
 # table substituted in projgeom is the one the fiber-map sweeps use
@@ -244,7 +244,7 @@ def _bilinear_family(p: int, n: int) -> frozenset:
     """Indicator masks of every set {(x,y) in W1 x W2 : all forms of M vanish},
     enumerated directly from subspace pairs and flattened form subspaces.
     Deliberately avoids the ann/orth machinery so it can sit on the other
-    side of an agreement check with is_bilinear."""
+    side of an agreement check with the bilinearity decision."""
     m1 = p**n
     outer = {}
     for x in range(m1):
@@ -270,6 +270,9 @@ def _bilinear_family(p: int, n: int) -> frozenset:
 
 
 def _subset_range(args: tuple, lo: int, hi: int):
+    """Both verdicts for each subset mask in [lo, hi), decided on the mask
+    itself: bilinearity (cross-checked against the family) and, for a
+    nonempty subset, transversality."""
     p, n = args
     family = _bilinear_family(p, n)
     counts = {
@@ -283,8 +286,7 @@ def _subset_range(args: tuple, lo: int, hi: int):
     }
     witnesses = []
     for mask in range(lo, hi):
-        s = PairSet(p, n, n, mask)
-        verdict_bilinear = is_bilinear(s).status == "bilinear"
+        verdict_bilinear = _status(p, n, n, mask)[0] == "bilinear"
         counts["bilinear_sets"] += verdict_bilinear
         if verdict_bilinear != (mask in family):
             counts["oracle_mismatch"] += 1
@@ -293,7 +295,7 @@ def _subset_range(args: tuple, lo: int, hi: int):
         if mask == 0:
             counts["transverse_empty"] += 1
             continue
-        if transversality_violation(s) is None:
+        if _fiber_map_read(p, n, n, mask)[0] is None:
             counts["transverse_nonempty"] += 1
             if verdict_bilinear:
                 counts["transverse_bilinear"] += 1
@@ -307,9 +309,10 @@ def _subset_range(args: tuple, lo: int, hi: int):
 def exhaustive_subset_sweep(
     p: int, n: int, jobs: int = 1, override_cap: bool = False
 ) -> SweepReport:
-    """Scan every subset of F_p^n x F_p^n: each one gets an is_bilinear
-    verdict cross-checked against direct membership in the enumerated
-    bilinear family, and every nonempty transverse subset must be bilinear.
+    """Scan every subset of F_p^n x F_p^n: each one gets a bilinearity
+    verdict (is_bilinear's decision, made on the mask) cross-checked against
+    direct membership in the enumerated bilinear family, and a fiberwise
+    transversality verdict; every nonempty transverse subset must be bilinear.
     Only pair spaces of at most 16 points are powerset-enumerable without
     override_cap; larger parameters go through classify_hyperplane_fibers."""
     _check_sizes(p, n)
@@ -424,15 +427,15 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     }
 
     def leaf(f0, fibers):
-        s = PairSet(p, n, n, _fiber_map_mask(p, n, n, f0, fibers))
-        if transversality_violation(s) is not None:
+        mask = _fiber_map_mask(p, n, n, f0, fibers)
+        if _fiber_map_read(p, n, n, mask)[0] is not None:
             counts["leaf_rejected"] += 1
             return
         counts["valid"] += 1
-        verdict = is_bilinear(s)
-        alt = _classify_leaf(p, n, s.size, f0, fibers, full, verdict.span)
+        status, res, _, _ = _status(p, n, n, mask)
+        alt = _classify_leaf(p, n, mask.bit_count(), f0, fibers, full, res.span)
         counts[f"alt{alt}"] += 1
-        if verdict.status == "bilinear":
+        if status == "bilinear":
             counts["bilinear"] += 1
 
     for d0 in range(d_lo, d_hi):
@@ -466,7 +469,8 @@ def classify_hyperplane_fibers(
 
 def _sigma_range(args: tuple, lo: int, hi: int):
     """Each rank's permutation is the image class table of sigma: it goes
-    straight to the span-set and recognition cores, with no map object."""
+    straight to the span-set, bilinearity and recognition cores, with no map
+    or set object."""
     p, n, tables = args
     k = _npoints(p, n)
     counts = {
@@ -479,8 +483,8 @@ def _sigma_range(args: tuple, lo: int, hi: int):
     witnesses = []
     ranked = tables[lo:hi] if tables is not None else _perm_range(lo, hi, k)
     for rank, table in zip(range(lo, hi), ranked):
-        verdict = is_bilinear(PairSet(p, n, n, _sigma_mask(p, n, n, table)))
-        hit = verdict.status == "non_bilinear"
+        status, _, witness, _ = _status(p, n, n, _sigma_mask(p, n, n, table))
+        hit = status == "non_bilinear"
         projective = _recognize_table(p, n, n, table) is not None
         counts["non_bilinear" if hit else "bilinear"] += 1
         counts["projective"] += projective
@@ -488,8 +492,7 @@ def _sigma_range(args: tuple, lo: int, hi: int):
             counts["projective_non_bilinear"] += 1
             witnesses.append(["projective_non_bilinear", rank])
         elif hit and len(witnesses) < 16:
-            wit = list(verdict.witness) if verdict.witness is not None else None
-            witnesses.append([rank, wit])
+            witnesses.append([rank, list(witness) if witness is not None else None])
     return counts, witnesses
 
 
@@ -648,8 +651,8 @@ def _xi_range(args: tuple, lo: int, hi: int):
     }
     witnesses = []
     for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
-        verdict = is_bilinear(PairSet(p, 2, 2, _xi_mask(w, 2, table)))
-        bilinear = verdict.status == "bilinear"
+        status, res, _, _ = _status(p, 2, 2, _xi_mask(w, 2, table))
+        bilinear = status == "bilinear"
         if _recognize_table(p, 2, 2, table) is not None:
             counts["projective"] += 1
             counts["projective_bilinear"] += bilinear
@@ -659,8 +662,9 @@ def _xi_range(args: tuple, lo: int, hi: int):
         else:
             counts["non_projective"] += 1
             counts["non_projective_non_bilinear"] += not bilinear
-            counts["non_projective_ann_zero"] += verdict.r3 == 0
-            if bilinear or verdict.r3 != 0:
+            r3 = res.w1.dim * res.w2.dim - len(res.span)  # dim ann
+            counts["non_projective_ann_zero"] += r3 == 0
+            if bilinear or r3 != 0:
                 counts["violations"] += 1
                 if len(witnesses) < 8:
                     witnesses.append(["non_projective_bilinear", rank])

@@ -12,13 +12,15 @@ fiber over 0, fibers are constant on projective classes, and the fiber over
 any point of the projective line through [x] and [y] contains the
 intersection of the fibers over [x] and [y].
 
-Every vertical read goes through ``PairSet.vertical_fibers()``, which
-slices the fibers, as compact bitsets over y, out of one binary string of
-the indicator.  The fiberwise test reads them once (``_fiber_map_read``):
+Every vertical read goes through ``_vertical_fibers``, which slices the
+fibers, as compact bitsets over y, out of one binary string of the
+indicator.  The fiberwise test reads them once (``_fiber_map_read``):
 containment, class constancy and the line condition are then ANDs and XORs
 of p**n2-bit words, and after those checks the per-class fibers are the
 fiber map itself.  A fiber is a subspace when it equals its cached span; a
-failing fiber is searched sum by sum for its witness.
+failing fiber is searched sum by sum for its witness.  The reads take the
+shape and the indicator int, not a PairSet, so the sweeps call them on a
+candidate mask without building a set object.
 """
 
 from __future__ import annotations
@@ -262,13 +264,8 @@ class PairSet:
 
     # -- fibers -------------------------------------------------------------
     def vertical_fibers(self) -> list[int]:
-        """Bitset over y-indices for each x index (fiber of the map x -> A_x).
-        In the binary string of the indicator, most significant bit first,
-        the bits of the fiber over x sit at stride m1, highest y first, so
-        each fiber is one slice read back as an int."""
-        m1, top, starts = _vertical_shape(self.p, self.n1, self.n2)
-        bits = bin(self.indicator | top)
-        return [int(bits[s::m1], 2) for s in starts]
+        """Bitset over y-indices for each x index (fiber of the map x -> A_x)."""
+        return _vertical_fibers(self.p, self.n1, self.n2, self.indicator)
 
     def horizontal_fibers(self) -> list[int]:
         m1, m2 = self.p**self.n1, self.p**self.n2
@@ -329,14 +326,24 @@ def fiber(a: PairSet, direction: str, at: int) -> SingleSet:
     raise ValueError(f"direction must be 'V' or 'H', got {direction!r}")
 
 
-def _fiber_read(a: PairSet) -> tuple[int, int, list[int]]:
-    """One pass over the horizontal fibers A^y = {x : (x, y) in A}: the
-    bitsets of the two projections (pi1 is the union of the fibers, pi2 the
-    y with a nonempty fiber) and, per projective class c of the second
-    factor, the union U_c of the fibers over the members of c.  The fiber
-    over y is the low m1 bits of A >> m1 * y."""
-    m1, low, class_of, k = _fiber_shape(a.p, a.n1, a.n2)
-    ind = a.indicator
+def _vertical_fibers(p: int, n1: int, n2: int, ind: int) -> list[int]:
+    """The vertical fibers of the set with indicator ind, one bitset over y
+    per x index.  In the binary string of the indicator, most significant
+    bit first, the bits of the fiber over x sit at stride m1, highest y
+    first, so each fiber is one slice read back as an int."""
+    m1, top, starts = _vertical_shape(p, n1, n2)
+    bits = bin(ind | top)
+    return [int(bits[s::m1], 2) for s in starts]
+
+
+def _fiber_read(p: int, n1: int, n2: int, ind: int) -> tuple[int, int, list[int]]:
+    """One pass over the horizontal fibers A^y = {x : (x, y) in A} of the
+    set with indicator ind: the bitsets of the two projections (pi1 is the
+    union of the fibers, pi2 the y with a nonempty fiber) and, per
+    projective class c of the second factor, the union U_c of the fibers
+    over the members of c.  The fiber over y is the low m1 bits of
+    ind >> m1 * y."""
+    m1, low, class_of, k = _fiber_shape(p, n1, n2)
     pi1 = ind & low
     pi2 = 1 if pi1 else 0
     unions = [0] * k
@@ -362,7 +369,7 @@ def _fiber_shape(p: int, n1: int, n2: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _vertical_shape(p: int, n1: int, n2: int) -> tuple:
-    """(m1, top, starts) for vertical_fibers.  m1 = p**n1.  top = 1 <<
+    """(m1, top, starts) for _vertical_fibers.  m1 = p**n1.  top = 1 <<
     p**(n1 + n2), so bin(indicator | top) is '0b1' and then one digit per
     pair, bit i at index p**(n1 + n2) + 2 - i.  starts[x] = m1 + 2 - x is
     the index of the highest-y bit of the fiber over x."""
@@ -372,7 +379,7 @@ def _vertical_shape(p: int, n1: int, n2: int) -> tuple:
 
 def projections(a: PairSet) -> tuple[SingleSet, SingleSet]:
     """Images of A under the two coordinate projections."""
-    pi1, pi2, _ = _fiber_read(a)
+    pi1, pi2, _ = _fiber_read(a.p, a.n1, a.n2, a.indicator)
     return SingleSet(a.p, a.n1, pi1), SingleSet(a.p, a.n2, pi2)
 
 
@@ -399,20 +406,20 @@ def transversality_violation(a: PairSet, mode: str = "fiberwise"):
         return None
     if mode != "fiberwise":
         raise ValueError(f"mode must be 'direct' or 'fiberwise', got {mode!r}")
-    return _fiber_map_read(a)[0]
+    return _fiber_map_read(a.p, a.n1, a.n2, a.indicator)[0]
 
 
-def _fiber_map_read(a: PairSet):
-    """(None, (f0, fibers)) when A is transverse, with f0 the fiber over 0
-    and fibers[c] the fiber over class c of F_p^n1 (proj_reps order, 0 for
-    an empty fiber), all bitsets over y; otherwise (violation, None) with
-    the first violation transversality_violation reports.
+def _fiber_map_read(p: int, n1: int, n2: int, ind: int):
+    """(None, (f0, fibers)) when the set with indicator ind is transverse,
+    with f0 the fiber over 0 and fibers[c] the fiber over class c of F_p^n1
+    (proj_reps order, 0 for an empty fiber), all bitsets over y; otherwise
+    (violation, None) with the first violation transversality_violation
+    reports.
 
     The checks, in order: every nonempty fiber contains 0, is a subspace
     and lies in the fiber over 0; fibers agree on projective classes; the
     line condition, scanned pair of classes by pair of classes."""
-    p, n2 = a.p, a.n2
-    fibers = a.vertical_fibers()
+    fibers = _vertical_fibers(p, n1, n2, ind)
     f0 = fibers[0]
     for x, f in enumerate(fibers):
         if not f:
@@ -425,7 +432,7 @@ def _fiber_map_read(a: PairSet):
         if extra:
             return ("vertical fiber not contained in the fiber over 0",
                     (x, _low_bit(extra))), None
-    sp1 = vspace(p, a.n1)
+    sp1 = vspace(p, n1)
     reps = sp1.proj_reps
     for rep, members in zip(reps, sp1.class_members):
         for m in members:
@@ -461,9 +468,12 @@ def _bits_column(f: int, m1: int) -> int:
     return col
 
 
+@lru_cache(maxsize=4096)
 def _sum_witness(p: int, n: int, f: int):
     """The first sum i + j of members i, j of the bitset f that falls
-    outside it, members taken in ascending order, or None."""
+    outside it, members taken in ascending order, or None.  Memoized: the
+    powerset sweep at (2,2) meets each failing fiber thousands of times,
+    and at (2,10) a key is about 128 bytes."""
     add = vspace(p, n).add
     bits = list(_iter_bits(f))
     for i in bits:
@@ -493,7 +503,7 @@ def to_fiber_map(a: PairSet) -> tuple[int, list[int]]:
     """
     if not a.indicator:
         raise NotTransverseError("empty set has no fiber map", None)
-    bad, fmap = _fiber_map_read(a)
+    bad, fmap = _fiber_map_read(a.p, a.n1, a.n2, a.indicator)
     if bad is not None:
         raise NotTransverseError(*bad)
     return fmap

@@ -5,6 +5,7 @@ import pytest
 from transverse.bilinear import (
     _fiber_span,
     _span_closure,
+    _status,
     FormSpace,
     ann,
     closure,
@@ -116,6 +117,30 @@ def test_empty_set_status():
     v = is_bilinear(PairSet.empty(2, 2, 2))
     assert v.status == "empty"
     assert v.witness is None
+
+
+def test_status_is_the_verdict_on_the_indicator():
+    status, res, witness, axis = _status(2, 2, 2, 0)
+    assert (status, witness, axis) == ("empty", None, None)
+    assert res == closure(PairSet.empty(2, 2, 2))
+    # (3,1,2): n1 != n2; sparse random sets, their closures and products of
+    # subspaces reach every status and both axes
+    rng = SplitMix64(140)
+    masks = [0, PairSet.full(3, 1, 2).indicator, 1, 1 | 1 << 3]
+    for _ in range(200):
+        mask = 1
+        for _ in range(rng.below(6)):
+            mask |= 1 << rng.below(27)
+        masks += [mask, closure(PairSet(3, 1, 2, mask)).closed.indicator]
+    seen = set()
+    for mask in masks:
+        a = PairSet(3, 1, 2, mask)
+        v = is_bilinear(a)
+        got = _status(3, 1, 2, mask)
+        assert got == (v.status, closure(a), v.witness, v.non_subspace_axis)
+        seen.add((got[0], got[3], got[2] is None))
+    assert {("empty", None, True), ("bilinear", None, True), ("non_bilinear", None, False),
+            ("non_bilinear", "first", False), ("non_bilinear", "second", False)} <= seen
 
 
 def test_non_subspace_projection_is_flagged():

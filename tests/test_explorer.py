@@ -7,7 +7,7 @@ from concurrent.futures import Future
 import pytest
 
 from transverse import explorer, projgeom
-from transverse.bilinear import orth
+from transverse.bilinear import is_bilinear, orth
 from transverse.detrng import SplitMix64
 from transverse.explorer import (
     CapExceeded,
@@ -22,7 +22,7 @@ from transverse.explorer import (
     verify_collineation_lemma,
     xi_line_sweep,
 )
-from transverse.pairsets import PairSet, SingleSet, phi, sumset_word
+from transverse.pairsets import PairSet, SingleSet, phi, sumset_word, transversality_violation
 
 _EXHAUSTIVE_CACHE = {}
 
@@ -104,6 +104,62 @@ def test_exhaustive_sweep_cap(monkeypatch):
     report = exhaustive_subset_sweep(3, 2, jobs=2, override_cap=True)
     assert calls == [(explorer._subset_range, (3, 2), 1 << 81, 2)]
     assert report.ok and report.parameters == {"p": 3, "n": 2}
+
+
+def reference_subset_range(args, lo, hi):
+    """The powerset worker on the per-set path: one PairSet per mask, decided
+    by the public is_bilinear and transversality_violation.  It reads the
+    family through the module, so a substituted family reaches it too."""
+    p, n = args
+    family = explorer._bilinear_family(p, n)
+    counts = {
+        "subsets": hi - lo,
+        "transverse_nonempty": 0,
+        "transverse_empty": 0,
+        "transverse_bilinear": 0,
+        "transverse_non_bilinear": 0,
+        "bilinear_sets": 0,
+        "oracle_mismatch": 0,
+    }
+    witnesses = []
+    for mask in range(lo, hi):
+        s = PairSet(p, n, n, mask)
+        verdict_bilinear = is_bilinear(s).status == "bilinear"
+        counts["bilinear_sets"] += verdict_bilinear
+        if verdict_bilinear != (mask in family):
+            counts["oracle_mismatch"] += 1
+            if len(witnesses) < 8:
+                witnesses.append(["oracle_mismatch", mask])
+        if mask == 0:
+            counts["transverse_empty"] += 1
+            continue
+        if transversality_violation(s) is None:
+            counts["transverse_nonempty"] += 1
+            if verdict_bilinear:
+                counts["transverse_bilinear"] += 1
+            else:
+                counts["transverse_non_bilinear"] += 1
+                if len(witnesses) < 8:
+                    witnesses.append(["transverse_non_bilinear", mask])
+    return counts, witnesses
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])
+def test_subset_range_matches_the_per_set_reference(p, n):
+    total = 1 << p ** (2 * n)
+    fast = explorer._subset_range((p, n), 0, total)
+    assert fast == reference_subset_range((p, n), 0, total)
+    assert fast[0]["oracle_mismatch"] == 0 and fast[0]["transverse_nonempty"] > 0
+
+
+def test_subset_range_splits_and_witnesses_match_the_reference(monkeypatch):
+    for lo, hi in ((0, 4096), (4096, 30000), (30000, 65536)):
+        assert explorer._subset_range((2, 2), lo, hi) == reference_subset_range((2, 2), lo, hi)
+    # an empty family makes every bilinear set a mismatch witness
+    monkeypatch.setattr(explorer, "_bilinear_family", lambda p, n: frozenset())
+    fast = explorer._subset_range((2, 2), 0, 65536)
+    assert fast == reference_subset_range((2, 2), 0, 65536)
+    assert fast[0]["oracle_mismatch"] == 107 and len(fast[1]) == 8
 
 
 SWEEPS = (exhaustive_subset_sweep, classify_hyperplane_fibers, search_sigma,

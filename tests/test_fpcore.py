@@ -8,7 +8,6 @@ from transverse.fpcore import (
     CapExceeded,
     MatP,
     ProjPoint,
-    Subspace,
     VecP,
     all_subspaces,
     capped_factorial,

@@ -3,7 +3,7 @@
 from transverse.constructions import ProjBijection, sigma_fig2
 from transverse.detrng import SplitMix64
 from transverse.explorer import search_sigma
-from transverse.fpcore import MatP, ProjPoint, VecP, proj_enumerate, rref
+from transverse.fpcore import MatP, ProjPoint, proj_enumerate, rref
 from transverse.projgeom import (
     count_collineations,
     gl_order,

@@ -323,7 +323,7 @@ def reference_gf2_closure(a):
     path: S(A) by _fiber_span, one check form per free column by
     _check_forms, and W1 x W2 cut by each form's zero set."""
     p, n1, n2 = a.p, a.n1, a.n2
-    pi1, pi2, unions = _fiber_read(a)
+    pi1, pi2, unions = _fiber_read(p, n1, n2, a.indicator)
     w1 = _span_mask(p, n1, pi1)
     w2 = _span_mask(p, n2, pi2)
     spans = tuple(_span_mask(p, n1, u) for u in unions)
