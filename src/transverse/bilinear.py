@@ -10,18 +10,19 @@ A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
 dim W2 - dim S(A).  The decision is made one way, on the indicator int, by
-_status(p, n1, n2, ind): is_bilinear wraps its result in a verdict, and the
-sweeps call it on each candidate mask.  _status and closure read A once,
-through its horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of
-the fibers, pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
-x (x) y = lam * (x (x) rep_c), so
+_status(p, n1, n2, ind): is_bilinear wraps its result in a verdict, closure
+returns its closure result, and the sweeps call it on each candidate mask.
+_status reads A once, through its horizontal fibers A^y = {x : (x, y) in A}:
+pi1 is the union of the fibers, pi2 the set of y with a nonempty fiber, and
+for y = lam * rep_c, x (x) y = lam * (x (x) rep_c), so
 
     S(A) = sum over the projective classes c of F_p^{n2} of span(U_c) (x) rep_c,
 
 with U_c the union of the fibers over the members of c.  S(A) therefore
 depends only on the span masks of the U_c, and its canonical RREF basis is
 cached on (p, n1, n2, tuple of those masks); the closure is cached on the
-span masks of pi1 and pi2 plus that tuple.  Every key is made of ints.  The
+span masks of pi1 and pi2 plus that tuple, and cut out by the kernel rows of
+S(A) (fpcore._kernel_rows; packed at p = 2).  Every key is made of ints.  The
 annihilator itself is certificate content only: the ``ann`` attribute of a
 result is the kernel of S(A) in the coordinates of W1 and W2, computed from
 (W1, W2, S(A)) when read.  ann and orth stay public and are the reference
@@ -42,6 +43,7 @@ from itertools import product
 from .fpcore import (
     MatP,
     Subspace,
+    _kernel_rows,
     _xor_eliminate,
     encode,
     is_prime,
@@ -213,23 +215,6 @@ def _fiber_span(p: int, n1: int, n2: int, spans: tuple) -> tuple:
     return tuple(map(tuple, rref(rows, p)[0]))
 
 
-def _check_forms(p: int, n1: int, n2: int, span: tuple) -> list:
-    """A basis of the forms vanishing on S, for S given by its RREF basis:
-    one check form per free column f (1 at f, minus the column entry at each
-    pivot), flattened row-major."""
-    pivots = [next(k for k, c in enumerate(b) if c) for b in span]
-    checks = []
-    for f in range(n1 * n2):
-        if f in pivots:
-            continue
-        h = [0] * (n1 * n2)
-        h[f] = 1
-        for b, j in zip(span, pivots):
-            h[j] = -b[f] % p
-        checks.append(tuple(h))
-    return checks
-
-
 @lru_cache(maxsize=4096)
 def _form_zero_mask(p: int, n1: int, n2: int, flat: tuple) -> int:
     """Indicator of the ambient zero set {(x, y) : x^T Q y = 0} of one form,
@@ -309,14 +294,14 @@ def _span_closure(p: int, n1: int, n2: int, w1: int, w2: int, spans: tuple) -> C
     its per-class fiber spans): W1 x W2 intersected with the zero sets of
     the check forms of S(A).  At p = 2, S(A) and its check forms stay
     packed (_span_gf2) and only the span field is unpacked; odd p works on
-    lists (_fiber_span, _check_forms)."""
+    lists (_fiber_span, _kernel_rows)."""
     if p == 2:
         rows, checks = _span_gf2(n1, n2, spans)
         span = tuple(_unpack(r, n1 * n2) for r in rows)
         forms = [_unpack(h, n1 * n2) for h in checks]
     else:
         span = _fiber_span(p, n1, n2, spans)
-        forms = _check_forms(p, n1, n2, span)
+        forms = _kernel_rows(span, n1 * n2, p)
     m1 = p**n1
     out = 0
     for y in _iter_bits(w2):
@@ -360,17 +345,6 @@ class ClosureResult:
         return _span_ann(self.w1, self.w2, self.span)
 
 
-def _read(p: int, n1: int, n2: int, ind: int) -> tuple:
-    """One fiber read of the set with indicator ind: the bitsets of its
-    projections, of their spans W1 and W2, and the closure, looked up by
-    (W1, W2, per-class fiber spans)."""
-    pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
-    w1 = _span_mask(p, n1, pi1)
-    w2 = _span_mask(p, n2, pi2)
-    spans = tuple(_span_mask(p, n1, u) for u in unions)
-    return pi1, pi2, w1, w2, _span_closure(p, n1, n2, w1, w2, spans)
-
-
 def closure(a: PairSet) -> ClosureResult:
     """Bilinear closure: (W1 x W2) intersected with {(x, y) : x (x) y in S(A)},
     over the spans W1, W2 of the projections.  This equals orth(ann(A)).
@@ -379,7 +353,7 @@ def closure(a: PairSet) -> ClosureResult:
     contains (0,0)) and idempotent; A is bilinear iff it equals its closure
     and its projections are subspaces.
     """
-    return _read(a.p, a.n1, a.n2, a.indicator)[-1]
+    return _status(a.p, a.n1, a.n2, a.indicator)[1]
 
 
 @dataclass(frozen=True)
@@ -422,8 +396,12 @@ class BilinearVerdict:
 
 def _status(p: int, n1: int, n2: int, ind: int) -> tuple:
     """The bilinearity decision on an indicator int: (status, closure
-    result, witness, axis), the fields of is_bilinear's verdict."""
-    pi1, pi2, w1, w2, res = _read(p, n1, n2, ind)
+    result, witness, axis), the fields of is_bilinear's verdict.  The set is
+    read once, through its fibers, and its closure looked up by (W1, W2,
+    per-class fiber spans)."""
+    pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
+    w1, w2 = _span_mask(p, n1, pi1), _span_mask(p, n2, pi2)
+    res = _span_closure(p, n1, n2, w1, w2, tuple(_span_mask(p, n1, u) for u in unions))
     if not ind:
         return "empty", res, None, None
     axis = None

@@ -36,8 +36,8 @@ from .bilinear import BilinearVerdict, FormSpace, ann, is_bilinear
 from .constructions import build_P_sigma, build_P_xi, f3_example, random_sigma, sigma_fig2
 from .counting import bijection_vs_projective, inequality_check, n0_estimate
 from .explorer import SweepReport
-from .fpcore import CapExceeded, Subspace, VecP, is_prime
-from .pairsets import PairSet, phi, transversality_violation
+from .fpcore import CapExceeded, Subspace, VecP, _check_table, is_prime
+from .pairsets import PairSet, _iter_bits, phi, transversality_violation
 
 __all__ = [
     "FORMAT_VERSION",
@@ -113,13 +113,19 @@ def _expect(doc: dict, field: str, types, path: str):
     return value
 
 
+def _pair_list(a: PairSet) -> list:
+    """The pairs of a set as [x, y] lists, ascending in (x, y): read x-major
+    off the vertical fibers, so nothing is sorted."""
+    return [[x, y] for x, f in enumerate(a.vertical_fibers()) for y in _iter_bits(f)]
+
+
 def set_document(a: PairSet) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "p": a.p,
         "n1": a.n1,
         "n2": a.n2,
-        "pairs": [[x, y] for x, y in sorted(a.pair_indices())],
+        "pairs": _pair_list(a),
     }
 
 
@@ -130,6 +136,7 @@ def set_from_document(doc: dict, path: str = "<set>") -> PairSet:
     p = _expect(doc, "p", int, path)
     n1 = _expect(doc, "n1", int, path)
     n2 = _expect(doc, "n2", int, path)
+    _check_table(p, max(n1, n2))
     if not is_prime(p):
         raise FileFormatError(f"{path}: field 'p' must be prime, got {p}")
     if n1 < 1 or n2 < 1:
@@ -187,7 +194,7 @@ def _form_matrices(space: FormSpace) -> list:
 
 def _set_payload(a: PairSet, verdict: BilinearVerdict) -> dict:
     payload = {
-        "pairs": [[x, y] for x, y in sorted(a.pair_indices())],
+        "pairs": _pair_list(a),
         "size": a.size,
         "status": verdict.status,
         "w1": _basis_rows(verdict.w1),
@@ -211,7 +218,7 @@ def _transverse_payload(a: PairSet) -> dict:
     fiberwise = transversality_violation(a, "fiberwise")
     direct = transversality_violation(a, "direct")
     return {
-        "pairs": [[x, y] for x, y in sorted(a.pair_indices())],
+        "pairs": _pair_list(a),
         "size": a.size,
         "transverse": fiberwise is None,
         "modes_agree": (fiberwise is None) == (direct is None),

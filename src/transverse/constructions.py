@@ -19,6 +19,7 @@ from .fpcore import (
     ProjPoint,
     Subspace,
     VecP,
+    _check_table,
     check_cap,
     encode,
     is_prime,
@@ -155,6 +156,7 @@ def random_sigma(p: int, n: int, seed: int) -> ProjBijection:
     stream and exchange shuffle; the same seed always gives the same map."""
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
+    _check_table(p, n)
     pts = proj_enumerate(p, n)
     perm = list(range(len(pts)))
     exchange_shuffle(perm, SplitMix64(seed))

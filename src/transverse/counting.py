@@ -42,11 +42,12 @@ def gaussian_binomial(m: int, k: int, p: int) -> int:
 
 
 def proj_count(p: int, n: int) -> int:
-    """Number of projective points of F_p^n; always at least p^(n-1)."""
+    """Number of projective points of F_p^n, (p^n - 1)/(p - 1): 0 at n = 0,
+    and at least p^(n-1) above.  ValueError for n < 0."""
     _require_prime(p)
-    count = (p**n - 1) // (p - 1)
-    assert count >= p ** (n - 1)
-    return count
+    if n < 0:
+        raise ValueError(f"dimension must be at least 0, got {n}")
+    return (p**n - 1) // (p - 1)
 
 
 def bijection_vs_projective(p: int) -> tuple[int, int]:

@@ -6,7 +6,9 @@ condition; every candidate it does not visit fails that condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
-can be split into contiguous rank ranges and merged back in rank order.  A
+can be split into contiguous rank ranges and merged back in rank order; a
+permutation range is a slice of itertools.permutations, which yields rank
+order, and point counts come from counting.proj_count.  A
 SweepReport's digestable content is a function of the parameters alone;
 wall time and worker count are carried only as metadata, and a sweep run
 with 1 worker is bit-for-bit the same report as with 8.
@@ -29,14 +31,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, permutations, product
 
-from .bilinear import FormSpace, _check_forms, _form_zero_mask, _status, orth
+from .bilinear import FormSpace, _form_zero_mask, _status, orth
 from .constructions import _sigma_mask, _xi_mask
+from .counting import proj_count
 from .detrng import SplitMix64, exchange_shuffle
 from .fpcore import (
     CapExceeded,
     Subspace,
+    _check_table,
+    _kernel_rows,
     all_subspaces,
     capped_factorial,
     check_cap,
@@ -167,6 +172,7 @@ def _sweep(kind: str, parameters: dict, worker, args: tuple, total: int, jobs: i
 
 
 def _check_sizes(p: int, *dims: int) -> None:
+    _check_table(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if any(d < 1 for d in dims):
@@ -192,30 +198,10 @@ def perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _next_perm(a: list) -> None:
-    """Step a permutation list in place to its lexicographic successor."""
-    i = len(a) - 2
-    while i >= 0 and a[i] > a[i + 1]:
-        i -= 1
-    if i < 0:
-        raise ValueError("the last permutation has no successor")
-    j = len(a) - 1
-    while a[j] < a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1:] = a[:i:-1]
-
-
 def _perm_range(lo: int, hi: int, n: int):
     """The permutations of range(n) of rank lo, ..., hi - 1, in rank order:
-    one perm_unrank at lo, then lexicographic successors."""
-    if lo >= hi:
-        return
-    a = list(perm_unrank(lo, n))
-    yield tuple(a)
-    for _ in range(hi - lo - 1):
-        _next_perm(a)
-        yield tuple(a)
+    itertools.permutations of a sorted input yields lexicographic order."""
+    return islice(permutations(range(n)), lo, hi)
 
 
 def perm_rank(perm) -> int:
@@ -230,10 +216,6 @@ def perm_rank(perm) -> int:
         rank += j * f
         avail.pop(j)
     return rank
-
-
-def _npoints(p: int, n: int) -> int:
-    return (p**n - 1) // (p - 1)
 
 
 # ------------------------------------------------- (2,2) full powerset sweep
@@ -347,7 +329,7 @@ def _classify_leaf(p, n, size, f0, fibers, full, span):
     # vanishing on P are the span of the check forms of S(P), and their
     # zero sets contain P, so equality is a size check; scalar multiples
     # share a zero set, so only normalized coefficient vectors are tried.
-    checks = _check_forms(p, n, n, span)
+    checks = _kernel_rows(span, n * n, p)
     for lams in product(range(p), repeat=len(checks)):
         if next((c for c in lams if c), 0) != 1:
             continue
@@ -358,7 +340,7 @@ def _classify_leaf(p, n, size, f0, fibers, full, span):
     # exactly 2 (only reachable for p >= 5).  That W is {x : fiber = V2},
     # a subspace by the line condition, so it has codimension 2 iff it holds
     # as many projective classes as a codimension-2 subspace.
-    if p >= 5 and f0 == full and fibers.count(full) == _npoints(p, n - 2):
+    if p >= 5 and f0 == full and fibers.count(full) == proj_count(p, n - 2):
         return 3
     raise ClassificationError(f"set of size {size} fits no alternative")
 
@@ -411,7 +393,7 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
     the zero fiber plus one per projective class, pruned by fiber
     containment and the line condition (_fiber_maps)."""
     p, n = args
-    k = _npoints(p, n)
+    k = proj_count(p, n)
     full = (1 << p**n) - 1
     kernels = _kernel_masks(p, n)
     options = [full] + [kernels[u] for u in vspace(p, n).proj_reps]
@@ -453,7 +435,7 @@ def classify_hyperplane_fibers(
     bilinear form, (3) p >= 5 with the maximal W x V2 slab of codimension
     exactly 2.  A set fitting no alternative raises ClassificationError."""
     _check_sizes(p, n)
-    k = _npoints(p, n)
+    k = proj_count(p, n)
     n_options = 1 + k  # full plus one hyperplane per functional class
     check_cap(n_options ** (k + 1), override_cap, "fiber-map enumeration")
     return _sweep(
@@ -472,7 +454,7 @@ def _sigma_range(args: tuple, lo: int, hi: int):
     straight to the span-set, bilinearity and recognition cores, with no map
     or set object."""
     p, n, tables = args
-    k = _npoints(p, n)
+    k = proj_count(p, n)
     counts = {
         "candidates": hi - lo,
         "non_bilinear": 0,
@@ -511,7 +493,7 @@ def search_sigma(
     `samples` seeded permutations instead.  Projective sigma must never
     produce a non-bilinear set."""
     _check_sizes(p, n)
-    k = _npoints(p, n)
+    k = proj_count(p, n)
     if mode == "exhaustive":
         if samples is not None or seed is not None:
             raise ValueError("exhaustive mode takes no sample count or seed")
@@ -550,8 +532,8 @@ def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
     _fiber_maps over the hyperplanes, under the full space, visits exactly
     the maps that keep lines collinear, in rank order."""
     p, n_dom, n_cod = args
-    kd = _npoints(p, n_dom)
-    kc = _npoints(p, n_cod)
+    kd = proj_count(p, n_dom)
+    kc = proj_count(p, n_cod)
     kernels = _kernel_masks(p, n_cod)
     hyper = [kernels[u] for u in vspace(p, n_cod).proj_reps]
     class_of = {h: c for c, h in enumerate(hyper)}
@@ -590,8 +572,8 @@ def verify_collineation_lemma(
     """Enumerate every total map between projective point sets and check that
     the ones satisfying the line condition are constant or injective."""
     _check_sizes(p, n_dom, n_cod)
-    kc = _npoints(p, n_cod)
-    check_cap(kc ** _npoints(p, n_dom), override_cap, "total-map enumeration")
+    kc = proj_count(p, n_cod)
+    check_cap(kc ** proj_count(p, n_dom), override_cap, "total-map enumeration")
     return _sweep("verify_collineation_lemma", {"p": p, "n_dom": n_dom, "n_cod": n_cod},
                   _collineation_digits, (p, n_dom, n_cod), kc, jobs, _no_violations)
 
@@ -601,7 +583,7 @@ def verify_collineation_lemma(
 
 def _fundamental_range(args: tuple, lo: int, hi: int):
     p, n = args
-    k = _npoints(p, n)
+    k = proj_count(p, n)
     counts = {
         "permutations": hi - lo,
         "line_preserving": 0,
@@ -628,7 +610,7 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
     _check_sizes(p, n)
     if n < 3:
         raise ValueError("the line-preserving/projective equivalence needs n >= 3")
-    total = capped_factorial(_npoints(p, n), override_cap, "permutation sweep")
+    total = capped_factorial(proj_count(p, n), override_cap, "permutation sweep")
     return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_range, (p, n), total, jobs,
                   _no_violations)
 
@@ -638,7 +620,7 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
 
 def _xi_range(args: tuple, lo: int, hi: int):
     (p,) = args
-    k = _npoints(p, 2)
+    k = proj_count(p, 2)
     w = Subspace.zero(p, 2)
     counts = {
         "bijections": hi - lo,
@@ -677,7 +659,7 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
     sets, non-projective xi' must give trivial annihilator and a
     non-bilinear verdict."""
     _check_sizes(p)
-    total = capped_factorial(_npoints(p, 2), override_cap, "line-bijection sweep")
+    total = capped_factorial(proj_count(p, 2), override_cap, "line-bijection sweep")
     return _sweep("xi_line_sweep", {"p": p}, _xi_range, (p,), total, jobs, _no_violations)
 
 

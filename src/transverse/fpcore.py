@@ -316,12 +316,10 @@ class Subspace:
     def member(self, v: VecP) -> bool:
         return self.coords_of(v) is not None
 
-    def coords_of(self, v: VecP):
-        """Coordinates of v in the RREF basis, or None if v is outside.
-
-        For an RREF basis the coordinate along basis row r is just the value
-        of the reduced vector at that row's pivot column.
-        """
+    def _eliminate(self, v: VecP) -> tuple[tuple[int, ...], list[int]]:
+        """(coefficients, residual row) of v against the RREF basis: the
+        coefficient along basis row r is the value of the reduced vector at
+        that row's pivot column."""
         if v.p != self.p or v.n != self.ambient:
             raise ValueError("dimension or field mismatch")
         row = list(v.coords)
@@ -331,9 +329,12 @@ class Subspace:
             coords.append(lam)
             if lam:
                 row = [(c - lam * bc) % self.p for c, bc in zip(row, b)]
-        if any(row):
-            return None
-        return tuple(coords)
+        return tuple(coords), row
+
+    def coords_of(self, v: VecP):
+        """Coordinates of v in the RREF basis, or None if v is outside."""
+        coords, row = self._eliminate(v)
+        return None if any(row) else coords
 
     def residual(self, v: VecP) -> VecP:
         """v with the pivot coordinates eliminated against the basis.
@@ -342,12 +343,7 @@ class Subspace:
         coset representative of v modulo the subspace, supported on the
         non-pivot columns.
         """
-        row = list(v.coords)
-        for b, j in zip(self.basis, self.pivots):
-            lam = row[j]
-            if lam:
-                row = [(c - lam * bc) % self.p for c, bc in zip(row, b)]
-        return VecP(self.p, tuple(row))
+        return VecP(self.p, tuple(self._eliminate(v)[1]))
 
     def element_indices(self) -> list[int]:
         """Encoded indices of all members, in coordinate-enumeration order."""
@@ -383,20 +379,28 @@ def complement(phi: VecP) -> Subspace:
     return kern
 
 
+def _kernel_rows(basis, ncols: int, p: int) -> list[tuple[int, ...]]:
+    """A basis of the kernel of the rows of an RREF basis: one row per free
+    column f, with 1 at f and minus row r's entry at f in row r's pivot
+    column."""
+    pivots = [next(k for k, c in enumerate(b) if c) for b in basis]
+    rows = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for b, j in zip(basis, pivots):
+            vec[j] = -b[f] % p
+        rows.append(tuple(vec))
+    return rows
+
+
 def rref_kernel(m: MatP):
     """Row space, kernel and rank of a matrix, all with canonical RREF bases."""
-    reduced, pivots = rref(m.entries, m.p)
-    ncols = m.ncols
-    row_space = Subspace(m.p, ncols, tuple(tuple(r) for r in reduced))
-    free = [j for j in range(ncols) if j not in pivots]
-    kern_rows = []
-    for j in free:
-        vec = [0] * ncols
-        vec[j] = 1
-        for row, jp in zip(reduced, pivots):
-            vec[jp] = -row[j] % m.p
-        kern_rows.append(vec)
-    kernel = Subspace.from_rows(kern_rows, m.p, ncols)
+    reduced, _ = rref(m.entries, m.p)
+    row_space = Subspace(m.p, m.ncols, tuple(tuple(r) for r in reduced))
+    kernel = Subspace.from_rows(_kernel_rows(reduced, m.ncols, m.p), m.p, m.ncols)
     return row_space, kernel, len(reduced)
 
 
@@ -495,17 +499,25 @@ def proj_enumerate(p: int, n: int, override_cap: bool = False) -> list[ProjPoint
 _TABLE_LIMIT = 4096
 
 
+def _check_table(p: int, n: int = 1) -> None:
+    """ValueError when F_p^n has more than _TABLE_LIMIT vectors.  p**n is built
+    only when its bit length is small, so a huge p or n is refused at once,
+    before any primality check; p < 2 and n < 1 are left to the caller."""
+    low = (p.bit_length() - 1) * n  # p**n >= 2**low
+    if p >= 2 and n >= 1 and (low > 12 or p**n > _TABLE_LIMIT):
+        shown = p**n if low <= 64 else f"at least 2**{low}"
+        raise ValueError(f"F_{p}^{n} has {shown} vectors, past the table limit of {_TABLE_LIMIT}")
+
+
 class _VSpace:
     """Precomputed index arithmetic for F_p^n (internal)."""
 
     def __init__(self, p: int, n: int):
+        _check_table(p, n)
         _require_prime(p)
         self.p = p
         self.n = n
         self.size = p**n
-        if self.size > _TABLE_LIMIT:
-            raise ValueError(f"F_{p}^{n} has {self.size} vectors, past the table limit "
-                             f"of {_TABLE_LIMIT}")
         self.coords = tuple(decode(i, p, n) for i in range(self.size))
         # built digit by digit: entry (d p^j + a, e p^j + b) of the table
         # over F_p^(j+1) is add[a][b] + ((d + e) % p) p^j

@@ -22,7 +22,11 @@ from transverse.cli import (
     set_from_document,
     write_document,
 )
-from transverse.constructions import f3_example
+from transverse.constructions import build_P_sigma, f3_example, random_sigma
+from transverse.detrng import SplitMix64
+from transverse.pairsets import PairSet
+
+from test_properties import SHAPES, random_pairset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -330,6 +334,58 @@ def test_table_limit_is_a_usage_error(flags, tmp_path, capsys):
     assert "table limit of 4096" in err
     assert "--override-cap" not in err
     assert not os.path.exists(out)
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize("flags", [[], ["--override-cap"]])
+@pytest.mark.parametrize("shape,shown", [
+    ({"p": HUGE_PRIME, "n1": 1, "n2": 1}, f"F_{HUGE_PRIME}^1 has {HUGE_PRIME} vectors"),
+    ({"p": 2, "n1": 3000000000, "n2": 1}, "F_2^3000000000 has at least 2**3000000000 vectors"),
+    ({"p": 2, "n1": 1, "n2": 40}, "F_2^40 has 1099511627776 vectors"),
+])
+def test_set_files_past_the_table_limit_are_refused_at_once(shape, shown, flags, tmp_path,
+                                                            capsys):
+    # sized from bit lengths before the primality check or any p**n: no
+    # trial division of a huge p, no 2**3000000000, and no cap advice
+    path = str(tmp_path / "big.json")
+    with open(path, "w") as fh:
+        json.dump({"format_version": 1, **shape, "pairs": []}, fh)
+    start = time.perf_counter()
+    assert run(flags + ["check", "transverse", "--set", path]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"{shown}, past the table limit of 4096" in err
+    assert "--override-cap" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "collineation", "--p", str(HUGE_PRIME), "--n", "1"],
+    ["construct", "p-sigma", "--p", str(HUGE_PRIME), "--n", "1", "--seed", "1"],
+])
+def test_a_huge_prime_is_refused_at_once(argv, tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    start = time.perf_counter()
+    assert run(argv + (["--out", out] if argv[0] == "construct" else [])) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"F_{HUGE_PRIME}^1 has {HUGE_PRIME} vectors, past the table limit of 4096" in err
+    assert "--override-cap" not in err
+    assert not os.path.exists(out)
+
+
+def test_pair_list_is_the_sorted_pair_indices():
+    # on the property suite's random sets, P_sigma sets and empty sets
+    rng = SplitMix64(116)
+    sets = [PairSet.empty(p, n, n) for p, n in SHAPES] + [PairSet.empty(2, 1, 3)]
+    for k in range(300):
+        p, n = SHAPES[k % 3]
+        sets.append(random_pairset(rng, p, n, 16))
+    sets += [build_P_sigma(random_sigma(p, n, seed)) for p, n in SHAPES for seed in range(5)]
+    sets += [PairSet(2, 1, 3, rng.below(1 << 16)), PairSet(3, 2, 1, rng.below(1 << 27))]
+    for a in sets:
+        assert cli._pair_list(a) == [list(q) for q in sorted(a.pair_indices())]
 
 
 def test_parser_is_built_once_and_parses_afresh():

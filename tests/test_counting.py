@@ -15,7 +15,7 @@ from transverse.counting import (
     proj_count,
     subspace_counts,
 )
-from transverse.fpcore import CapExceeded, all_subspaces, is_prime, proj_enumerate
+from transverse.fpcore import CapExceeded, all_subspaces, is_prime, proj_enumerate, vspace
 
 
 def test_gaussian_binomial_values():
@@ -43,6 +43,12 @@ def test_proj_count():
     for p, n in ((2, 3), (3, 2), (5, 2), (7, 2)):
         assert proj_count(p, n) == len(proj_enumerate(p, n))
         assert proj_count(p, n) == (p**n - 1) // (p - 1)
+    # F_p^0 has no projective points; a negative dimension is an error
+    for p in (2, 3, 5):
+        for n in range(4):
+            assert proj_count(p, n) == len(vspace(p, n).proj_reps)
+        with pytest.raises(ValueError, match="at least 0"):
+            proj_count(p, -1)
 
 
 def test_subspace_totals_and_bound():

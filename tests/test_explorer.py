@@ -8,6 +8,7 @@ import pytest
 
 from transverse import explorer, projgeom
 from transverse.bilinear import is_bilinear, orth
+from transverse.counting import proj_count
 from transverse.detrng import SplitMix64
 from transverse.explorer import (
     CapExceeded,
@@ -43,17 +44,6 @@ def test_perm_rank_roundtrip():
         perm = perm_unrank(r, n)
         assert sorted(perm) == list(range(n))
         assert perm_rank(perm) == r
-
-
-def test_perm_successor_is_the_next_rank():
-    for n in range(1, 8):
-        total = _factorial(n)
-        for r in range(total - 1):
-            a = list(perm_unrank(r, n))
-            explorer._next_perm(a)
-            assert tuple(a) == perm_unrank(r + 1, n)
-        with pytest.raises(ValueError, match="no successor"):
-            explorer._next_perm(list(perm_unrank(total - 1, n)))
 
 
 def test_perm_ranges_split_at_any_rank_agree():
@@ -334,8 +324,8 @@ def test_collineation_p2_dom3_cod2():
 def _collineation_reference(p, n_dom, n_cod, lo, hi):
     """Per-rank count with the reference line condition: every rank in
     [lo, hi) is decoded and checked."""
-    kd = explorer._npoints(p, n_dom)
-    kc = explorer._npoints(p, n_cod)
+    kd = proj_count(p, n_dom)
+    kc = proj_count(p, n_cod)
     counts = {"maps": hi - lo, "line_condition": 0, "constant": 0, "injective": 0, "violations": 0}
     witnesses = []
     for rank in range(lo, hi):
@@ -362,8 +352,8 @@ def test_pruned_collineation_matches_per_rank_count(shape):
     # and on each range of one first digit, the ranks d * block to
     # (d + 1) * block - 1
     p, n_dom, n_cod = shape
-    kc = explorer._npoints(p, n_cod)
-    block = kc ** (explorer._npoints(p, n_dom) - 1)
+    kc = proj_count(p, n_cod)
+    block = kc ** (proj_count(p, n_dom) - 1)
     assert explorer._collineation_digits(shape, 0, kc) == _collineation_reference(
         *shape, 0, kc * block
     )

@@ -8,7 +8,9 @@ from transverse.fpcore import (
     CapExceeded,
     MatP,
     ProjPoint,
+    Subspace,
     VecP,
+    _kernel_rows,
     all_subspaces,
     capped_factorial,
     check_cap,
@@ -79,6 +81,30 @@ def test_rref_canonical_and_membership():
         for row, piv in zip(s.basis, pivots):
             assert row[piv] == 1
             assert all(row[j] == 0 for j in range(piv))
+
+
+def test_residual_checks_field_and_dimension():
+    s = Subspace.from_rows([(1, 0, 0)], 3, 3)
+    assert s.residual(VecP(3, (2, 1, 2))) == VecP(3, (0, 1, 2))
+    for v in (VecP(3, (1, 2)), VecP(5, (1, 2, 3))):
+        with pytest.raises(ValueError, match="dimension or field mismatch"):
+            s.residual(v)
+        with pytest.raises(ValueError, match="dimension or field mismatch"):
+            s.coords_of(v)
+
+
+def test_kernel_rows_vanish_on_the_row_space():
+    rng = SplitMix64(17)
+    for k in range(150):
+        p = (2, 3, 5)[k % 3]
+        ncols = rng.below(6) + 1
+        rows = [[rng.below(p) for _ in range(ncols)] for _ in range(rng.below(6))]
+        basis, _ = rref(rows, p)
+        kernel = _kernel_rows(basis, ncols, p)
+        assert len(kernel) == ncols - len(basis)
+        assert span(kernel, p, ncols).dim == len(kernel)
+        for h in kernel:
+            assert all(sum(a * b for a, b in zip(h, r)) % p == 0 for r in rows)
 
 
 def test_subspace_closed_under_addition():

@@ -7,7 +7,7 @@ replaced: transversality (and to_fiber_map) on the compact fibers against
 the per-bit fiber walk, projective recognition from the frame table against
 the per-class check, the XOR elimination at p = 2 against the list
 elimination, S(A) packed from outer product to check forms at p = 2 against
-the list path (_fiber_span, _check_forms), the fiber-map DFS on running
+the list path (_fiber_span, _kernel_rows), the fiber-map DFS on running
 per-line masks against the pairwise rescan of every line, the fiber-map core
 against the pair-by-pair set, the span-set and P_xi cores on class tables
 against the per-pair and per-x constructions, and the vertical sumset on the
@@ -26,7 +26,6 @@ from functools import lru_cache
 from itertools import permutations
 
 from transverse.bilinear import (
-    _check_forms,
     _fiber_span,
     _form_zero_mask,
     _span_gf2,
@@ -50,6 +49,7 @@ from transverse.fpcore import (
     ProjPoint,
     Subspace,
     VecP,
+    _kernel_rows,
     all_subspaces,
     decode,
     encode,
@@ -321,14 +321,14 @@ def reference_rref(rows, p):
 def reference_gf2_closure(a):
     """(w1, w2, span, check forms, closed) of a set over F_2 on the list
     path: S(A) by _fiber_span, one check form per free column by
-    _check_forms, and W1 x W2 cut by each form's zero set."""
+    _kernel_rows, and W1 x W2 cut by each form's zero set."""
     p, n1, n2 = a.p, a.n1, a.n2
     pi1, pi2, unions = _fiber_read(p, n1, n2, a.indicator)
     w1 = _span_mask(p, n1, pi1)
     w2 = _span_mask(p, n2, pi2)
     spans = tuple(_span_mask(p, n1, u) for u in unions)
     basis = _fiber_span(p, n1, n2, spans)
-    checks = _check_forms(p, n1, n2, basis)
+    checks = _kernel_rows(basis, n1 * n2, p)
     closed = 0
     for y in _iter_bits(w2):
         closed |= w1 << (p**n1 * y)
