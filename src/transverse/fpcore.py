@@ -45,13 +45,14 @@ class CapExceeded(RuntimeError):
     """Raised when an operation would materialize more objects than the cap."""
 
 
-def check_cap(count: int, override: bool = False, what: str = "enumeration") -> None:
-    """CapExceeded when count passes the cap.  A count of more than 64 bits
-    is shown by its bit length: Python refuses to convert an int of more
-    than 4,300 digits to a string."""
-    if count > DEFAULT_ENUMERATION_CAP and not override:
-        shown = str(count) if count.bit_length() <= 64 else f"at least 2**{count.bit_length() - 1}"
-        _refuse(what, shown)
+def check_cap(count: int, override: bool = False, what: str = "enumeration",
+              exp: int = 1) -> None:
+    """CapExceeded when count**exp passes the cap.  The power is built only
+    when its bit length is small, so a huge one is refused at once."""
+    if not override:
+        low = (count.bit_length() - 1) * exp  # count**exp >= 2**low
+        if low >= DEFAULT_ENUMERATION_CAP.bit_length() or count**exp > DEFAULT_ENUMERATION_CAP:
+            _refuse(what, _shown(count, exp))
 
 
 def capped_factorial(k: int, override: bool = False, what: str = "enumeration") -> int:
@@ -62,8 +63,17 @@ def capped_factorial(k: int, override: bool = False, what: str = "enumeration") 
         for i in range(2, k + 1):
             partial *= i
             if partial > DEFAULT_ENUMERATION_CAP:
-                _refuse(what, f"{k}!")
+                shown = _shown(k)
+                _refuse(what, f"{shown}!" if shown.isdigit() else f"({shown})!")
     return math.factorial(k)
+
+
+def _shown(base: int, exp: int = 1) -> str:
+    """base**exp as text, or "at least 2**low" past 64 bits: Python refuses
+    to convert an int of more than 4,300 digits to a string, and a huge
+    power is never built."""
+    low = (base.bit_length() - 1) * exp  # base**exp >= 2**low
+    return str(base**exp) if low <= 64 else f"at least 2**{low}"
 
 
 def _refuse(what: str, shown: str) -> None:
@@ -505,8 +515,8 @@ def _check_table(p: int, n: int = 1) -> None:
     before any primality check; p < 2 and n < 1 are left to the caller."""
     low = (p.bit_length() - 1) * n  # p**n >= 2**low
     if p >= 2 and n >= 1 and (low > 12 or p**n > _TABLE_LIMIT):
-        shown = p**n if low <= 64 else f"at least 2**{low}"
-        raise ValueError(f"F_{p}^{n} has {shown} vectors, past the table limit of {_TABLE_LIMIT}")
+        raise ValueError(
+            f"F_{p}^{n} has {_shown(p, n)} vectors, past the table limit of {_TABLE_LIMIT}")
 
 
 class _VSpace:

@@ -478,9 +478,12 @@ def test_readme_command_lines_parse():
 
 @pytest.mark.parametrize("argv", [
     ["verify", "collineation", "--p", "2", "--n", "12"],
+    ["verify", "collineation", "--p", "2", "--n", "20"],
     ["verify", "sigma-search", "--p", "2", "--n", "14"],
     ["verify", "sigma-search", "--p", "2", "--n", "20"],
+    ["verify", "sigma-search", "--p", "2", "--n", "20000"],
     ["verify", "fundamental", "--p", "2", "--n", "20"],
+    ["verify", "fundamental", "--p", "2", "--n", "20000"],
     ["verify", "classification", "--mode", "xi", "--p", "997"],
 ])
 def test_huge_counts_get_the_cap_advice_at_once(argv, capsys):

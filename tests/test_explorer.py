@@ -6,7 +6,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from transverse import explorer, projgeom
+from transverse import explorer, pairsets, projgeom
 from transverse.bilinear import is_bilinear, orth
 from transverse.counting import proj_count
 from transverse.detrng import SplitMix64
@@ -23,6 +23,7 @@ from transverse.explorer import (
     verify_collineation_lemma,
     xi_line_sweep,
 )
+from transverse.fpcore import all_subspaces, decode
 from transverse.pairsets import PairSet, SingleSet, phi, sumset_word, transversality_violation
 
 _EXHAUSTIVE_CACHE = {}
@@ -150,6 +151,114 @@ def test_subset_range_splits_and_witnesses_match_the_reference(monkeypatch):
     fast = explorer._subset_range((2, 2), 0, 65536)
     assert fast == reference_subset_range((2, 2), 0, 65536)
     assert fast[0]["oracle_mismatch"] == 107 and len(fast[1]) == 8
+
+
+def reference_bilinear_family(p, n):
+    """The bilinear family built grid by grid: for each box W1 x W2 and each
+    form subspace, test every pair of the box against every form."""
+    m1 = p**n
+    outer = {}
+    for x in range(m1):
+        xs = decode(x, p, n)
+        for y in range(m1):
+            ys = decode(y, p, n)
+            outer[x, y] = tuple(a * b % p for a in xs for b in ys)
+    subs = all_subspaces(p, n)
+    members = {s: s.element_indices() for s in subs}
+    form_subs = all_subspaces(p, n * n)
+    masks = set()
+    for w1 in subs:
+        for w2 in subs:
+            grid = [(x, y) for x in members[w1] for y in members[w2]]
+            for fs in form_subs:
+                mask = 0
+                for x, y in grid:
+                    o = outer[x, y]
+                    if all(sum(f * c for f, c in zip(row, o)) % p == 0 for row in fs.basis):
+                        mask |= 1 << (x + m1 * y)
+                masks.add(mask)
+    return frozenset(masks)
+
+
+@pytest.mark.parametrize("p, n, size", [(2, 1, 5), (3, 1, 5), (2, 2, 107)])
+def test_bilinear_family_matches_the_grid_reference(p, n, size):
+    family = explorer._bilinear_family(p, n)
+    assert family == reference_bilinear_family(p, n)
+    assert len(family) == size
+
+
+def _row_test(p, n, mask):
+    """The powerset worker's row test: row 0, copied into every row, covers
+    the mask."""
+    m1 = p**n
+    low = (1 << m1) - 1
+    spread = sum(1 << m1 * y for y in range(m1))
+    return not mask & ~((mask & low) * spread)
+
+
+def _misses_zero(p, n, mask):
+    """Whether some nonempty vertical fiber {y : (x, y) in A} misses 0,
+    read pair by pair."""
+    m1 = p**n
+    return any(mask >> i & 1 and not mask >> (i % m1) & 1 for i in range(m1 * m1))
+
+
+def _seeded_masks(p, n, count, seed):
+    """count masks over the p^2n pairs: half sparse (about 4 pairs), half
+    dense (about three quarters of the pairs), each also closed under the
+    row test by adding pi1 to row 0."""
+    m1 = p**n
+    rng = SplitMix64(seed)
+    out = []
+    for i in range(count):
+        dense = i % 2
+        mask = 0
+        for j in range(m1 * m1):
+            if rng.below(4) != 0 if dense else rng.below(m1 * m1 // 4) == 0:
+                mask |= 1 << j
+        out.append(mask)
+        pi1 = 0
+        for y in range(m1):
+            pi1 |= mask >> m1 * y & ((1 << m1) - 1)
+        out.append(mask | pi1)
+    return out
+
+
+@pytest.mark.parametrize("p, n, masks", [
+    (2, 1, range(1 << 4)),
+    (3, 1, range(1 << 9)),
+    (2, 2, range(1 << 16)),
+    (3, 2, _seeded_masks(3, 2, 1000, 3201)),
+    (2, 3, _seeded_masks(2, 3, 1000, 2301)),
+])
+def test_a_mask_failing_the_row_test_is_not_transverse(p, n, masks):
+    failed = passed = 0
+    for mask in masks:
+        if _row_test(p, n, mask):
+            passed += 1
+            assert not _misses_zero(p, n, mask)
+        else:
+            failed += 1
+            assert _misses_zero(p, n, mask)
+            assert pairsets._fiber_map_read(p, n, n, mask)[0] is not None
+    assert failed and passed
+
+
+def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
+    calls = {"_status": 0, "_fiber_map_read": 0}
+    for name in calls:
+        inner = getattr(explorer, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(explorer, name, counted)
+    counts, _ = explorer._subset_range((2, 2), 0, 65536)
+    assert counts["transverse_nonempty"] == 107
+    # every mask is cross-checked against the family; 9^4 - 1 nonempty
+    # masks have each vertical fiber empty or through 0
+    assert calls == {"_status": 65536, "_fiber_map_read": 6560}
 
 
 SWEEPS = (exhaustive_subset_sweep, classify_hyperplane_fibers, search_sigma,

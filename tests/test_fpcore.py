@@ -191,6 +191,24 @@ def test_capped_factorial():
     assert capped_factorial(13, override=True) == 6227020800
 
 
+def test_huge_factorials_and_powers_are_shown_by_bit_length():
+    # (2**20000 - 1)! is refused on its first factors, and k is shown by its
+    # bit length: it has 6,021 digits
+    with pytest.raises(CapExceeded, match=r"\(at least 2\*\*19999\)! objects"):
+        capped_factorial(2**20000 - 1)
+    # a power is sized from bit lengths first: 3**(2**20) is never built
+    with pytest.raises(CapExceeded, match=r"at least 2\*\*1048576 objects"):
+        check_cap(3, exp=2**20)
+    check_cap(3, override=True, exp=2**20)
+    # the same boundary as check_cap(count**exp)
+    check_cap(2, exp=26)
+    with pytest.raises(CapExceeded, match=r"134217728 objects"):
+        check_cap(2, exp=27)
+    check_cap(3, exp=16)
+    with pytest.raises(CapExceeded, match=r"129140163 objects"):
+        check_cap(3, exp=17)
+
+
 def test_rref_idempotent():
     rng = SplitMix64(16)
     for _ in range(100):
