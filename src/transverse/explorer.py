@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
 
-from .bilinear import FormSpace, _form_zero_mask, _status, orth
+from .bilinear import FormSpace, _decide, _form_zero_mask, _status, orth
 from .constructions import _sigma_mask, _xi_mask
 from .counting import proj_count
 from .detrng import SplitMix64, exchange_shuffle
@@ -54,7 +54,9 @@ from .pairsets import (
     SingleSet,
     _fiber_map_mask,
     _fiber_map_read,
+    _fiber_read,
     _kernel_masks,
+    _span_mask,
     phi,
     subspace_mask,
     sumset_word,
@@ -247,11 +249,15 @@ def _bilinear_family(p: int, n: int) -> frozenset:
 def _subset_range(args: tuple, lo: int, hi: int):
     """Both verdicts for each subset mask in [lo, hi), decided on the mask
     itself: bilinearity (cross-checked against the family) on every mask
-    and, for a nonempty subset, transversality.  The fiberwise read runs
-    only on masks that pass the row test: (mask & low) * spread copies
-    row 0, {x : (x, 0) in A}, into every row, and a mask with a bit outside
-    that copy has a nonempty vertical fiber that misses 0, so it is not
-    transverse.  At (2,2), 6,560 of the 65,535 nonempty subsets pass."""
+    and, for a nonempty subset, transversality.  The masks run in blocks
+    of 2^(p^n) that share the rows y >= 1 (mask >> p^n): each block reads
+    those rows once, and each mask is decided (_decide) on that read with
+    its row 0 ORed into pi1 and, when nonempty, bit 0 into pi2; row 0 joins
+    no class union.  The fiberwise read runs only on masks that pass the
+    row test: (mask & low) * spread copies row 0, {x : (x, 0) in A}, into
+    every row, and a mask with a bit outside that copy has a nonempty
+    vertical fiber that misses 0, so it is not transverse.  At (2,2), 6,560
+    of the 65,535 nonempty subsets pass."""
     p, n = args
     family = _bilinear_family(p, n)
     m1 = p**n
@@ -259,20 +265,26 @@ def _subset_range(args: tuple, lo: int, hi: int):
     spread = sum(1 << m1 * y for y in range(m1))
     bilinear = mismatch = transverse = transverse_bilinear = 0
     witnesses = []
-    for mask in range(lo, hi):
-        verdict_bilinear = _status(p, n, n, mask)[0] == "bilinear"
-        bilinear += verdict_bilinear
-        if verdict_bilinear != (mask in family):
-            mismatch += 1
-            if len(witnesses) < 8:
-                witnesses.append(["oracle_mismatch", mask])
-        if (mask and not mask & ~((mask & low) * spread)
-                and _fiber_map_read(p, n, n, mask)[0] is None):
-            transverse += 1
-            if verdict_bilinear:
-                transverse_bilinear += 1
-            elif len(witnesses) < 8:
-                witnesses.append(["transverse_non_bilinear", mask])
+    for top in range(lo >> m1, ((hi - 1) >> m1) + 1):
+        base = top << m1
+        pi1, pi2, unions = _fiber_read(p, n, n, base)
+        spans = tuple(_span_mask(p, n, u) for u in unions)
+        for mask in range(max(lo, base), min(hi, base + low + 1)):
+            r0 = mask & low
+            status = _decide(p, n, n, mask, pi1 | r0, pi2 | (r0 != 0), spans)[0]
+            verdict_bilinear = status == "bilinear"
+            bilinear += verdict_bilinear
+            if verdict_bilinear != (mask in family):
+                mismatch += 1
+                if len(witnesses) < 8:
+                    witnesses.append(["oracle_mismatch", mask])
+            if (mask and not mask & ~(r0 * spread)
+                    and _fiber_map_read(p, n, n, mask)[0] is None):
+                transverse += 1
+                if verdict_bilinear:
+                    transverse_bilinear += 1
+                elif len(witnesses) < 8:
+                    witnesses.append(["transverse_non_bilinear", mask])
     counts = {
         "subsets": hi - lo,
         "transverse_nonempty": transverse,

@@ -144,13 +144,25 @@ def test_subset_range_matches_the_per_set_reference(p, n):
 
 
 def test_subset_range_splits_and_witnesses_match_the_reference(monkeypatch):
-    for lo, hi in ((0, 4096), (4096, 30000), (30000, 65536)):
+    # whole blocks of 16 masks, then ranges that start or end inside one
+    for lo, hi in ((0, 4096), (4096, 30000), (30000, 65536), (5, 37), (30001, 30017),
+                   (65530, 65536), (0, 1), (15, 16), (16, 17), (30000, 30001), (65535, 65536)):
         assert explorer._subset_range((2, 2), lo, hi) == reference_subset_range((2, 2), lo, hi)
     # an empty family makes every bilinear set a mismatch witness
     monkeypatch.setattr(explorer, "_bilinear_family", lambda p, n: frozenset())
     fast = explorer._subset_range((2, 2), 0, 65536)
     assert fast == reference_subset_range((2, 2), 0, 65536)
     assert fast[0]["oracle_mismatch"] == 107 and len(fast[1]) == 8
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1)])
+def test_every_window_of_eleven_masks_matches_the_reference(p, n):
+    # _subset_range reads each block of 2^(p^n) masks once; windows of 11
+    # start and end at every offset within a block
+    total = 1 << p ** (2 * n)
+    for lo in range(total - 10):
+        hi = lo + 11
+        assert explorer._subset_range((p, n), lo, hi) == reference_subset_range((p, n), lo, hi)
 
 
 def reference_bilinear_family(p, n):
@@ -245,7 +257,7 @@ def test_a_mask_failing_the_row_test_is_not_transverse(p, n, masks):
 
 
 def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
-    calls = {"_status": 0, "_fiber_map_read": 0}
+    calls = {"_decide": 0, "_fiber_read": 0, "_fiber_map_read": 0}
     for name in calls:
         inner = getattr(explorer, name)
 
@@ -256,9 +268,10 @@ def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
         monkeypatch.setattr(explorer, name, counted)
     counts, _ = explorer._subset_range((2, 2), 0, 65536)
     assert counts["transverse_nonempty"] == 107
-    # every mask is cross-checked against the family; 9^4 - 1 nonempty
-    # masks have each vertical fiber empty or through 0
-    assert calls == {"_status": 65536, "_fiber_map_read": 6560}
+    # every mask is decided and cross-checked against the family, on one
+    # read of rows 1-3 per block of 16 masks; 9^4 - 1 nonempty masks have
+    # each vertical fiber empty or through 0
+    assert calls == {"_decide": 65536, "_fiber_read": 4096, "_fiber_map_read": 6560}
 
 
 SWEEPS = (exhaustive_subset_sweep, classify_hyperplane_fibers, search_sigma,

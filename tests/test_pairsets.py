@@ -15,6 +15,7 @@ from transverse.pairsets import (
     NotTransverseError,
     PairSet,
     SingleSet,
+    _fiber_read,
     dir_sum,
     fiber,
     from_fiber_map,
@@ -253,6 +254,41 @@ def test_vertical_fiber_reads_agree_with_the_fiber_list():
                 if mask >> i & 1:
                     fibers[i % m1] |= 1 << i // m1
             assert a.vertical_fibers() == fibers
+
+
+def _mixed_masks(p, n, count, seed):
+    """count masks over the p^2n pairs, each pair in with probability 1/8,
+    1/2 or 7/8 (chosen per mask), so sparse, half-full and dense sets mix."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        keep = (1, 4, 7)[rng.below(3)]
+        mask = 0
+        for j in range(p ** (2 * n)):
+            if rng.below(8) < keep:
+                mask |= 1 << j
+        out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("p, n, masks", [
+    (2, 1, range(1 << 4)),
+    (3, 1, range(1 << 9)),
+    (2, 2, range(1 << 16)),
+    (3, 2, _mixed_masks(3, 2, 2000, 3202)),
+    (2, 3, _mixed_masks(2, 3, 2000, 2302)),
+    (5, 1, _mixed_masks(5, 1, 2000, 5102)),
+])
+def test_row_zero_joins_the_projections_and_no_class_union(p, n, masks):
+    """The fiber read of a mask is the read of its rows y >= 1 with row 0
+    ORed into pi1 and, when nonempty, bit 0 into pi2; the class unions are
+    those of the rows y >= 1 alone, since y = 0 lies in no projective
+    class.  The powerset sweep shares that read across each block."""
+    low = (1 << p**n) - 1
+    for mask in masks:
+        pi1, pi2, unions = _fiber_read(p, n, n, mask & ~low)
+        r0 = mask & low
+        assert _fiber_read(p, n, n, mask) == (pi1 | r0, pi2 | (r0 != 0), unions)
 
 
 def test_transversality_caches_are_bounded():
