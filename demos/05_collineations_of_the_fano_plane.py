@@ -6,7 +6,9 @@ Two exhaustive sweeps over P(F_2^3), seven points and seven lines.
 
 First: among all 7! = 5040 permutations, the line-preserving ones are
 exactly the 168 induced by invertible matrices -- the fundamental theorem
-of projective geometry, checked point by point in dimension three.
+of projective geometry in dimension three.  The sweep visits only the maps
+that keep lines collinear, recognizes each permutation among them as a
+matrix, and counts them against |PGL(3, F_2)| = 168.
 
 Second: among ALL 7^7 = 823543 total maps (injective or not), the ones
 satisfying the collinearity condition are exactly the 7 constants plus

@@ -1,8 +1,8 @@
 """Exhaustive sweeps over small parameter spaces: every claim the library
 makes about transverse and bilinear sets at desk scale is re-checked here by
-brute force, candidate by candidate.  The classification and collineation
-sweeps share one fiber-map DFS (_fiber_maps) that prunes on the line
-condition; every candidate it does not visit fails that condition.
+brute force, candidate by candidate.  The classification, collineation and
+fundamental sweeps share one fiber-map DFS (_fiber_maps) that prunes on the
+line condition; every candidate it does not visit fails that condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
@@ -64,7 +64,7 @@ from .pairsets import (
 # line_structure is read through the module at call time, so that a line
 # table substituted in projgeom is the one the fiber-map sweeps use
 from . import projgeom
-from .projgeom import _line_condition, _recognize_table
+from .projgeom import _recognize_table, pgl_order
 
 __all__ = [
     "BogolyubovReport",
@@ -117,11 +117,11 @@ class SweepReport:
 # ------------------------------------------------------------------ engine
 
 
-def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, jobs)
-    size, extra = divmod(total, jobs)
+def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    workers = max(1, workers)
+    size, extra = divmod(total, workers)
     out, lo = [], 0
-    for i in range(jobs):
+    for i in range(workers):
         hi = lo + size + (1 if i < extra else 0)
         if hi > lo:
             out.append((lo, hi))
@@ -129,16 +129,10 @@ def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return out
 
 
-def _worker_count(total: int, jobs: int) -> int:
-    """Worker processes _map_ranges starts: min(jobs, CPU count, ranges)."""
-    return min(jobs, os.cpu_count() or 1, len(_ranges(total, jobs)))
-
-
-def _map_ranges(worker, args: tuple, total: int, jobs: int) -> list:
-    """Partial results for contiguous rank ranges, in rank order.  At most
-    _worker_count(total, jobs) worker processes run."""
-    ranges = _ranges(total, jobs)
-    workers = _worker_count(total, jobs)
+def _map_ranges(worker, args: tuple, total: int, workers: int) -> list:
+    """Partial results for one contiguous rank range per worker process, in
+    rank order; a single worker runs in this process."""
+    ranges = _ranges(total, workers)
     if workers <= 1:
         return [worker(args, lo, hi) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -164,13 +158,14 @@ def _merge(parts: list, cap: int = 8) -> tuple[dict, list]:
 
 def _sweep(kind: str, parameters: dict, worker, args: tuple, total: int, jobs: int,
            ok, cap: int = 8) -> SweepReport:
-    """The driver of every sweep: `worker` over the ranks [0, total) in
-    contiguous ranges, merged in rank order, with `ok` a predicate on the
-    merged counts."""
+    """The driver of every sweep: `worker` over the ranks [0, total) in one
+    contiguous range per worker, min(jobs, CPU count, total) of them, merged
+    in rank order, with `ok` a predicate on the merged counts."""
     t0 = time.perf_counter()
-    counts, witnesses = _merge(_map_ranges(worker, args, total, jobs), cap)
+    workers = min(jobs, os.cpu_count() or 1, total)
+    counts, witnesses = _merge(_map_ranges(worker, args, total, workers), cap)
     return SweepReport(kind, parameters, counts, witnesses, ok(counts),
-                       wall_time=time.perf_counter() - t0, workers=_worker_count(total, jobs))
+                       wall_time=time.perf_counter() - t0, workers=workers)
 
 
 def _check_sizes(p: int, *dims: int) -> None:
@@ -532,21 +527,31 @@ def search_sigma(
 # --------------------------------------------------------- collineation sweep
 
 
-def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
-    """Maps whose image of domain class 0 lies in [d_lo, d_hi), as digit
-    tables with digit i the image class of domain class i (digit 0 most
-    significant).  By duality the line condition is the fiber-map one: with
-    H_c the kernel of the representative of codomain class c, H_a & H_b
-    lies inside H_t iff t is on the span of a and b (t = a when a = b).  So
-    _fiber_maps over the hyperplanes, under the full space, visits exactly
-    the maps that keep lines collinear, in rank order."""
-    p, n_dom, n_cod = args
+def _line_maps(p: int, n_dom: int, n_cod: int, d_lo: int, d_hi: int, leaf) -> None:
+    """Call leaf(digits) for every map P(F_p^n_dom) -> P(F_p^n_cod) that
+    keeps lines collinear and sends domain class 0 into [d_lo, d_hi), in
+    rank order, as digit tables with digit i the image class of domain
+    class i (digit 0 most significant).  By duality the line condition is
+    the fiber-map one: with H_c the kernel of the representative of
+    codomain class c, H_a & H_b lies inside H_t iff t is on the span of a
+    and b (t = a when a = b).  So _fiber_maps over the hyperplanes, under
+    the full space, visits exactly the maps that keep lines collinear."""
     kd = proj_count(p, n_dom)
-    kc = proj_count(p, n_cod)
     kernels = _kernel_masks(p, n_cod)
     hyper = [kernels[u] for u in vspace(p, n_cod).proj_reps]
     class_of = {h: c for c, h in enumerate(hyper)}
     lines, _ = projgeom.line_structure(p, n_dom)
+    full = (1 << p**n_cod) - 1
+    _fiber_maps(full, [hyper[d_lo:d_hi]] + [hyper] * (kd - 1), lines, kd,
+                lambda fibers: leaf([class_of[f] for f in fibers]))
+
+
+def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
+    """Counts and witnesses over the maps with the image of domain class 0
+    in [d_lo, d_hi); _line_maps visits those that keep lines collinear."""
+    p, n_dom, n_cod = args
+    kd = proj_count(p, n_dom)
+    kc = proj_count(p, n_cod)
     counts = {
         "maps": (d_hi - d_lo) * kc ** (kd - 1),
         "line_condition": 0,
@@ -556,8 +561,7 @@ def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
     }
     witnesses = []
 
-    def leaf(fibers):
-        digits = [class_of[f] for f in fibers]
+    def leaf(digits):
         counts["line_condition"] += 1
         distinct = len(set(digits))
         if distinct == 1:
@@ -570,8 +574,7 @@ def _collineation_digits(args: tuple, d_lo: int, d_hi: int):
                 rank = sum(d * kc ** (kd - 1 - i) for i, d in enumerate(digits))
                 witnesses.append([rank, digits])
 
-    full = (1 << p**n_cod) - 1
-    _fiber_maps(full, [hyper[d_lo:d_hi]] + [hyper] * (kd - 1), lines, kd, leaf)
+    _line_maps(p, n_dom, n_cod, d_lo, d_hi, leaf)
     return counts, witnesses
 
 
@@ -590,38 +593,42 @@ def verify_collineation_lemma(
 # ---------------------------------------------------------- fundamental sweep
 
 
-def _fundamental_range(args: tuple, lo: int, hi: int):
+def _fundamental_digits(args: tuple, d_lo: int, d_hi: int):
+    """The permutations whose image of class 0 lies in [d_lo, d_hi): each
+    injective map that _line_maps visits is line-preserving and must be
+    recognized as projective, or it is a violation."""
     p, n = args
     k = proj_count(p, n)
-    counts = {
-        "permutations": hi - lo,
-        "line_preserving": 0,
-        "projective": 0,
-        "violations": 0,
-    }
+    counts = {"permutations": (d_hi - d_lo) * math.factorial(k - 1),
+              "line_preserving": 0, "projective": 0, "violations": 0}
     witnesses = []
-    for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
-        preserving = _line_condition(p, n, n, table)
-        projective = _recognize_table(p, n, n, table) is not None
-        counts["line_preserving"] += preserving
-        counts["projective"] += projective
-        if preserving != projective:
-            counts["violations"] += 1
-            if len(witnesses) < 8:
-                witnesses.append([rank, list(table)])
+
+    def leaf(digits):
+        if len(set(digits)) < k:
+            return
+        counts["line_preserving"] += 1
+        projective = _recognize_table(p, n, n, tuple(digits)) is not None
+        counts["projective" if projective else "violations"] += 1
+        if not projective and len(witnesses) < 8:
+            witnesses.append([perm_rank(digits), digits])
+
+    _line_maps(p, n, n, d_lo, d_hi, leaf)
     return counts, witnesses
 
 
 def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False) -> SweepReport:
-    """Check, permutation by permutation, that line-preserving and projective
-    coincide on P(F_p^n).  Needs dimension >= 3: on a projective line the
+    """Check that line-preserving and projective coincide on P(F_p^n): each
+    line-preserving permutation (_line_maps) must be projective, and there
+    must be |PGL(n, p)| of them, the number of projective ones (PGammaL =
+    PGL for prime p).  Needs dimension >= 3: on a projective line the
     line condition is vacuous and the equivalence genuinely fails."""
     _check_sizes(p, n)
     if n < 3:
         raise ValueError("the line-preserving/projective equivalence needs n >= 3")
-    total = capped_factorial(proj_count(p, n), override_cap, "permutation sweep")
-    return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_range, (p, n), total, jobs,
-                  _no_violations)
+    k = proj_count(p, n)
+    capped_factorial(k, override_cap, "permutation sweep")
+    return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_digits, (p, n), k, jobs,
+                  lambda c: c["violations"] == 0 and c["line_preserving"] == pgl_order(p, n))
 
 
 # ----------------------------------------------------------------- xi sweep

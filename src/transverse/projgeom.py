@@ -5,8 +5,8 @@ The recognition routine implements the frame argument: a projective map is
 pinned down (up to scalar) by the images of the standard basis classes and
 of the all-ones class, and a candidate matrix built from those images either
 reproduces the whole table or the table is not projective.  With it the
-explorer's sweeps check the dimension >= 3 equivalence between
-"line-preserving" and "projective" over all bijections of desk-scale spaces.
+explorer's fundamental sweep checks that every line-preserving permutation
+of a desk-scale space, as its fiber-map DFS finds them, is projective.
 
 Because the candidate depends only on the frame, it is solved once per
 frame image and cached, keyed by the frame's image class ids, together with
@@ -203,8 +203,8 @@ def pgl_order(p: int, n: int) -> int:
 def count_collineations(p: int, n: int) -> tuple[int, int]:
     """(k!, |PGL(n, p)|): the number of bijections of P(F_p^n), k its point
     count, and the number of projective ones.  The sweeps count the latter
-    map by map: search_sigma's "projective" count, and fundamental_sweep for
-    n >= 3, where it is also the line-preserving count."""
+    map by map: search_sigma's "projective" count, and for n >= 3
+    fundamental_sweep's "line_preserving" count, which must equal it."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:

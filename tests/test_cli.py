@@ -1,6 +1,7 @@
 """File formats, certificate digests, and the command-line surface."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -25,6 +26,7 @@ from transverse.cli import (
 from transverse.constructions import build_P_sigma, f3_example, random_sigma
 from transverse.detrng import SplitMix64
 from transverse.pairsets import PairSet
+from transverse.projgeom import pgl_order
 
 from test_properties import SHAPES, random_pairset
 
@@ -306,6 +308,25 @@ def test_replay_honours_override_cap(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert run(["replay", "--cert", cert]) == 2
     assert "enumeration cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, n, jobs", [(3, 3, ("1", "2")), (2, 4, ("2",))])
+def test_fundamental_sweep_reaches_past_the_fano_plane(p, n, jobs, tmp_path, capsys):
+    # 13! and 15! permutations are past the cap, but the fiber-map DFS
+    # visits only the line-preserving maps, so the override runs in seconds
+    base = ["verify", "fundamental", "--p", str(p), "--n", str(n)]
+    assert run(base) == 2
+    assert "use --override-cap" in capsys.readouterr().err
+    certs = []
+    for j in jobs:
+        cert = tmp_path / f"jobs{j}.json"
+        assert run(["--jobs", j, "--override-cap"] + base + ["--cert", str(cert)]) == 0
+        certs.append(cert.read_bytes())
+    assert all(c == certs[0] for c in certs)
+    counts = json.loads(certs[0])["payload"]["counts"]
+    assert counts["permutations"] == math.factorial((p**n - 1) // (p - 1))
+    assert counts["line_preserving"] == counts["projective"] == pgl_order(p, n)
+    assert counts["violations"] == 0
 
 
 def test_override_cap_lifts_the_powerset_limit(monkeypatch):

@@ -2,7 +2,10 @@
 searches, and the deterministic parallel engine."""
 
 import inspect
+import json
+import math
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from transverse.explorer import (
 from transverse.fpcore import all_subspaces, decode
 from transverse.pairsets import PairSet, SingleSet, phi, sumset_word, transversality_violation
 
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 _EXHAUSTIVE_CACHE = {}
 
 
@@ -87,11 +91,12 @@ def test_exhaustive_sweep_cap(monkeypatch):
     # stubbed here so that none of the 2^81 subsets is visited
     calls = []
 
-    def stub(worker, args, total, jobs):
-        calls.append((worker, args, total, jobs))
+    def stub(worker, args, total, workers):
+        calls.append((worker, args, total, workers))
         return [({"transverse_non_bilinear": 0, "oracle_mismatch": 0}, [])]
 
     monkeypatch.setattr(explorer, "_map_ranges", stub)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
     report = exhaustive_subset_sweep(3, 2, jobs=2, override_cap=True)
     assert calls == [(explorer._subset_range, (3, 2), 1 << 81, 2)]
     assert report.ok and report.parameters == {"p": 3, "n": 2}
@@ -391,35 +396,63 @@ def test_witnesses_do_not_depend_on_jobs(monkeypatch):
     assert all(r.canonical() == reports[0].canonical() for r in reports[1:])
 
 
+class InlinePool:
+    """A process pool that runs each submitted range in this process and
+    records the max_workers it was opened with and the ranges it got."""
+
+    def __init__(self, started, submitted):
+        self.started, self.submitted = started, submitted
+
+    def __call__(self, max_workers):
+        self.started.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, args, lo, hi):
+        self.submitted.append((lo, hi))
+        future = Future()
+        future.set_result(fn(args, lo, hi))
+        return future
+
+
 def test_process_count_is_bounded(monkeypatch):
-    started = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool)
+    # one range per started worker, and the workers are bounded by the
+    # CPU count and by the ranks, not by jobs
+    started, submitted = [], []
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
-    parts = explorer._map_ranges(lambda args, lo, hi: (lo, hi), (), 10, 64)
-    assert parts == [(k, k + 1) for k in range(10)]
-    assert started == [3]
-    explorer._map_ranges(lambda args, lo, hi: (lo, hi), (), 2, 64)
+
+    def ranks(args, lo, hi):
+        return {"ranks": hi - lo}, []
+
+    report = explorer._sweep("ranks", {}, ranks, (), 10, 64, lambda c: True)
+    assert submitted == [(0, 4), (4, 7), (7, 10)]
+    assert started == [3] and report.workers == 3 and report.counts == {"ranks": 10}
+    submitted.clear()
+    assert explorer._sweep("ranks", {}, ranks, (), 2, 64, lambda c: True).workers == 2
+    assert submitted == [(0, 1), (1, 2)]
     assert started == [3, 2]
     # a report records the processes started, not the jobs requested
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
     assert verify_collineation_lemma(2, 2, 2, jobs=4).workers == 2
     assert started == [3, 2, 2]
+
+
+def test_powerset_split_inside_a_block_matches_the_golden_payload(monkeypatch):
+    # three workers cut the (2,2) powerset inside blocks of 16 masks
+    started, submitted = [], []
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+    report = exhaustive_subset_sweep(2, 2, jobs=8)
+    assert started == [3]
+    assert submitted == [(0, 21846), (21846, 43691), (43691, 65536)]
+    with open(GOLDEN / "exhaustive_p2_n2.json") as fh:
+        assert report.canonical()["payload"] == json.load(fh)["payload"]
 
 
 def test_collineation_p2_n2():
@@ -515,6 +548,74 @@ def test_fundamental_p2_n3():
     }
     with pytest.raises(ValueError):
         fundamental_sweep(2, 2)  # the equivalence needs dimension >= 3
+
+
+def _fundamental_reference(p, n, lo, hi):
+    """Per-rank fundamental check with the reference line condition: every
+    permutation of rank in [lo, hi) is tested for line preservation and
+    recognized, and a disagreement is a violation."""
+    counts = {"permutations": hi - lo, "line_preserving": 0, "projective": 0, "violations": 0}
+    witnesses = []
+    for rank in range(lo, hi):
+        table = perm_unrank(rank, proj_count(p, n))
+        preserving = projgeom._line_condition(p, n, n, table)
+        projective = projgeom._recognize_table(p, n, n, table) is not None
+        counts["line_preserving"] += preserving
+        counts["projective"] += projective
+        if preserving != projective:
+            counts["violations"] += 1
+            if len(witnesses) < 8:
+                witnesses.append([rank, list(table)])
+    return counts, witnesses
+
+
+def test_fundamental_digits_match_the_per_rank_reference():
+    # on all digits, and on each range of one first digit, the ranks
+    # d * 6! to (d + 1) * 6! - 1
+    block = math.factorial(6)
+    assert explorer._fundamental_digits((2, 3), 0, 7) == _fundamental_reference(2, 3, 0, 7 * block)
+    for d in range(7):
+        assert explorer._fundamental_digits((2, 3), d, d + 1) == _fundamental_reference(
+            2, 3, d * block, (d + 1) * block
+        )
+
+
+def _fano_lines(monkeypatch, edit):
+    real = projgeom.line_structure
+
+    def edited(p, n):
+        lines, span = real(p, n)
+        return (edit(lines) if (p, n) == (2, 3) else lines), span
+
+    monkeypatch.setattr(projgeom, "line_structure", edited)
+
+
+def test_fundamental_witnesses_match_the_reference(monkeypatch):
+    # keep three of the Fano plane's seven lines: 168 non-projective
+    # permutations then keep every line left, far more than the eight kept
+    _fano_lines(monkeypatch, lambda lines: lines[:3])
+    counts, witnesses = _fundamental_reference(2, 3, 0, 5040)
+    assert counts == {"permutations": 5040, "line_preserving": 336, "projective": 168,
+                      "violations": 168}
+    assert len(witnesses) == 8
+    reports = [fundamental_sweep(2, 3, jobs=jobs) for jobs in (1, 2, 8)]
+    assert not reports[0].ok
+    assert reports[0].counts == counts
+    assert reports[0].witnesses == witnesses
+    assert all(r.canonical() == reports[0].canonical() for r in reports[1:])
+
+
+def test_fundamental_count_catches_a_projective_map_that_breaks_a_line(monkeypatch):
+    # a bogus eighth line (0, 1, 3), not collinear: no projective map keeps
+    # it, so the DFS finds no leaf to flag, and only the count against
+    # |PGL(3, 2)| = 168 fails the sweep
+    _fano_lines(monkeypatch, lambda lines: lines + ((0, 1, 3),))
+    counts, _ = _fundamental_reference(2, 3, 0, 5040)
+    assert counts["violations"] == 168
+    report = fundamental_sweep(2, 3, jobs=2)
+    assert report.counts["violations"] == 0
+    assert report.counts["line_preserving"] == 0
+    assert not report.ok
 
 
 def test_xi_sweep_p5():
