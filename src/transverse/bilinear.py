@@ -10,11 +10,11 @@ A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
 dim W2 - dim S(A).  The decision is made one way, on the indicator int, by
-_status(p, n1, n2, ind), which reads A and then decides on that read
-(_decide): is_bilinear wraps its result in a verdict, closure returns its
-closure result, and the classification, sigma and xi sweeps call it on each
-candidate mask.  The powerset sweep reads the rows y >= 1 once per block of
-masks that share them and calls _decide on each mask of the block.  The
+_status(p, n1, n2, ind): is_bilinear wraps its result in a verdict,
+closure returns its closure result, and the classification, sigma and xi
+sweeps call it on each candidate mask.  The powerset sweep makes the same
+decision for a whole block of masks that share the rows y >= 1, with one
+_span_closure lookup per subspace W1 (explorer._subset_range).  The
 read goes once through the horizontal fibers A^y = {x : (x, y) in A}:
 pi1 is the union of the fibers, pi2 the set of y with a nonempty fiber, and
 for y = lam * rep_c, x (x) y = lam * (x (x) rep_c), so
@@ -400,19 +400,11 @@ class BilinearVerdict:
 def _status(p: int, n1: int, n2: int, ind: int) -> tuple:
     """The bilinearity decision on an indicator int: (status, closure
     result, witness, axis), the fields of is_bilinear's verdict.  The set is
-    read once, through its fibers, and decided on that read."""
+    read once, through its fibers, and the closure is looked up by (W1, W2,
+    span masks of the class unions)."""
     pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
-    return _decide(p, n1, n2, ind, pi1, pi2, tuple(_span_mask(p, n1, u) for u in unions))
-
-
-def _decide(p: int, n1: int, n2: int, ind: int, pi1: int, pi2: int, spans: tuple) -> tuple:
-    """_status on a read of ind: the projection bitsets pi1, pi2 and the
-    span masks of the class unions U_c.  The closure is looked up by (W1,
-    W2, spans).  A caller that shares the read of the rows y >= 1 between
-    masks passes it with row 0 ORed into pi1 and bit 0 of pi2; row 0 joins
-    no class union, since y = 0 lies in no projective class."""
     w1, w2 = _span_mask(p, n1, pi1), _span_mask(p, n2, pi2)
-    res = _span_closure(p, n1, n2, w1, w2, spans)
+    res = _span_closure(p, n1, n2, w1, w2, tuple(_span_mask(p, n1, u) for u in unions))
     if not ind:
         return "empty", res, None, None
     axis = None

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
 
-from .bilinear import FormSpace, _decide, _form_zero_mask, _status, orth
+from .bilinear import FormSpace, _form_zero_mask, _span_closure, _status, orth
 from .constructions import _sigma_mask, _xi_mask
 from .counting import proj_count
 from .detrng import SplitMix64, exchange_shuffle
@@ -55,6 +55,7 @@ from .pairsets import (
     _fiber_map_mask,
     _fiber_map_read,
     _fiber_read,
+    _iter_bits,
     _kernel_masks,
     _span_mask,
     phi,
@@ -241,45 +242,88 @@ def _bilinear_family(p: int, n: int) -> frozenset:
     return frozenset(masks)
 
 
+@lru_cache(maxsize=4096)
+def _subspaces_over(p: int, n: int, mask: int) -> tuple:
+    """Bitsets of the subspaces of F_p^n that contain the bitset mask."""
+    return tuple(w for w in map(subspace_mask, all_subspaces(p, n)) if not mask & ~w)
+
+
 def _subset_range(args: tuple, lo: int, hi: int):
-    """Both verdicts for each subset mask in [lo, hi), decided on the mask
-    itself: bilinearity (cross-checked against the family) on every mask
-    and, for a nonempty subset, transversality.  The masks run in blocks
-    of 2^(p^n) that share the rows y >= 1 (mask >> p^n): each block reads
-    those rows once, and each mask is decided (_decide) on that read with
-    its row 0 ORed into pi1 and, when nonempty, bit 0 into pi2; row 0 joins
-    no class union.  The fiberwise read runs only on masks that pass the
-    row test: (mask & low) * spread copies row 0, {x : (x, 0) in A}, into
-    every row, and a mask with a bit outside that copy has a nonempty
-    vertical fiber that misses 0, so it is not transverse.  At (2,2), 6,560
-    of the 65,535 nonempty subsets pass."""
+    """Both verdicts for each subset mask in [lo, hi): bilinearity
+    (cross-checked against the family) on every mask and, for a nonempty
+    subset, transversality.  The masks run in blocks of 2^(p^n) that share
+    the rows y >= 1 (mask >> p^n), and each block is decided in one step.
+
+    The block reads those rows once: pi1, pi2 and the span masks of the
+    class unions; row 0 joins no class union, since y = 0 lies in no
+    projective class.  Mask base | r0 has the projections pi1 | r0 and, when
+    r0 is nonempty, pi2 | 1, so W2 = span(pi2 | 1) is fixed and W1 is a
+    subspace W containing pi1.  The mask is bilinear (is_bilinear's
+    criterion) iff its projections are W and W2 and it equals the closure
+    C_W over them.  As x (x) y = 0 when x or y is 0, row 0 of C_W is W and
+    the nonempty rows of C_W are those of W2, so C_W == base | W forces
+    r0 = W, pi1 | r0 = W and pi2 | 1 = W2: the mask base | W is bilinear iff
+    C_W == base | W, and no other mask of the block is.  One closure lookup
+    per W decides the block as a 2^(p^n)-bit verdict, bit r0 set for a
+    bilinear mask.  Every mask base | r0 lies in base | W for W =
+    span(pi1 | r0), so the check that base | W lies in C_W for each W is
+    the extensivity check of every mask of the block.  The verdict is
+    compared with the family's row-0 bitset of the block, bit for bit.
+
+    Transversality is read fiberwise only on masks that pass the row test:
+    (mask & low) * spread copies row 0, {x : (x, 0) in A}, into every row,
+    and a mask with a bit outside that copy has a nonempty vertical fiber
+    that misses 0, so it is not transverse.  Those masks are the r0 that
+    contain pi1, the OR of the rows y >= 1, walked in ascending order.  At
+    (2,2), 6,560 of the 65,535 nonempty subsets pass."""
     p, n = args
-    family = _bilinear_family(p, n)
     m1 = p**n
     low = (1 << m1) - 1
-    spread = sum(1 << m1 * y for y in range(m1))
+    family: dict = {}
+    for f in _bilinear_family(p, n):
+        family[f >> m1] = family.get(f >> m1, 0) | 1 << (f & low)
     bilinear = mismatch = transverse = transverse_bilinear = 0
     witnesses = []
     for top in range(lo >> m1, ((hi - 1) >> m1) + 1):
         base = top << m1
+        r_lo, r_hi = max(lo - base, 0), min(hi - base, low + 1)
         pi1, pi2, unions = _fiber_read(p, n, n, base)
         spans = tuple(_span_mask(p, n, u) for u in unions)
-        for mask in range(max(lo, base), min(hi, base + low + 1)):
-            r0 = mask & low
-            status = _decide(p, n, n, mask, pi1 | r0, pi2 | (r0 != 0), spans)[0]
-            verdict_bilinear = status == "bilinear"
-            bilinear += verdict_bilinear
-            if verdict_bilinear != (mask in family):
-                mismatch += 1
-                if len(witnesses) < 8:
-                    witnesses.append(["oracle_mismatch", mask])
-            if (mask and not mask & ~(r0 * spread)
-                    and _fiber_map_read(p, n, n, mask)[0] is None):
+        w2 = _span_mask(p, n, pi2 | 1)
+        verdict = 0
+        for w in _subspaces_over(p, n, pi1):
+            closed = _span_closure(p, n, n, w, w2, spans).closed.indicator
+            if (base | w) & ~closed:
+                raise AssertionError("closure is not extensive; this is a bug")
+            if closed == base | w:
+                verdict |= 1 << w
+        window = (1 << r_hi) - (1 << r_lo)
+        verdict &= window
+        miss = (verdict ^ family.get(top, 0)) & window
+        bilinear += verdict.bit_count()
+        mismatch += miss.bit_count()
+        odd = []
+        free = low & ~pi1
+        s = 0
+        while True:
+            r0 = pi1 | s
+            if r0 >= r_hi:
+                break
+            if (r0 >= r_lo and (base | r0)
+                    and _fiber_map_read(p, n, n, base | r0)[0] is None):
                 transverse += 1
-                if verdict_bilinear:
+                if verdict >> r0 & 1:
                     transverse_bilinear += 1
-                elif len(witnesses) < 8:
-                    witnesses.append(["transverse_non_bilinear", mask])
+                else:
+                    odd.append(r0)
+            if s == free:
+                break
+            s = (s - free) & free  # the next subset of free, ascending
+        if (miss or odd) and len(witnesses) < 8:
+            # mask by mask; a mask's mismatch comes before its transversality
+            found = sorted([(r0, 0) for r0 in _iter_bits(miss)] + [(r0, 1) for r0 in odd])
+            witnesses.extend([("oracle_mismatch", "transverse_non_bilinear")[k], base | r0]
+                             for r0, k in found[:8 - len(witnesses)])
     counts = {
         "subsets": hi - lo,
         "transverse_nonempty": transverse,
@@ -296,7 +340,8 @@ def exhaustive_subset_sweep(
     p: int, n: int, jobs: int = 1, override_cap: bool = False
 ) -> SweepReport:
     """Scan every subset of F_p^n x F_p^n: each one gets a bilinearity
-    verdict (is_bilinear's decision, made on the mask) cross-checked against
+    verdict (is_bilinear's criterion, decided a block of masks at a time)
+    cross-checked against
     direct membership in the enumerated bilinear family, and a fiberwise
     transversality verdict; every nonempty transverse subset must be bilinear.
     Only pair spaces of at most 16 points are powerset-enumerable without

@@ -4,12 +4,13 @@ searches, and the deterministic parallel engine."""
 import inspect
 import json
 import math
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from transverse import explorer, pairsets, projgeom
+from transverse import bilinear, explorer, pairsets, projgeom
 from transverse.bilinear import is_bilinear, orth
 from transverse.counting import proj_count
 from transverse.detrng import SplitMix64
@@ -262,21 +263,98 @@ def test_a_mask_failing_the_row_test_is_not_transverse(p, n, masks):
 
 
 def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
-    calls = {"_decide": 0, "_fiber_read": 0, "_fiber_map_read": 0}
-    for name in calls:
+    calls = []
+    for name in ("_span_closure", "_fiber_read", "_fiber_map_read"):
         inner = getattr(explorer, name)
 
         def counted(*args, name=name, inner=inner):
-            calls[name] += 1
+            calls.append(name)
             return inner(*args)
 
         monkeypatch.setattr(explorer, name, counted)
     counts, _ = explorer._subset_range((2, 2), 0, 65536)
     assert counts["transverse_nonempty"] == 107
-    # every mask is decided and cross-checked against the family, on one
-    # read of rows 1-3 per block of 16 masks; 9^4 - 1 nonempty masks have
-    # each vertical fiber empty or through 0
-    assert calls == {"_decide": 65536, "_fiber_read": 4096, "_fiber_map_read": 6560}
+    # one read of rows 1-3 per block of 16 masks; 9^4 - 1 nonempty masks
+    # have each vertical fiber empty or through 0
+    assert Counter(calls) == {
+        "_span_closure": 4296, "_fiber_read": 4096, "_fiber_map_read": 6560}
+    # one closure lookup per subspace W of F_2^2 that contains pi1, the OR
+    # of the block's rows 1-3: all 5 when pi1 lies in {0} (8 blocks), 2 when
+    # its span is a line (3 lines, 4^3 - 2^3 blocks each), 1 otherwise
+    per_block = []
+    for name in calls:
+        if name == "_fiber_read":
+            per_block.append(0)
+        elif name == "_span_closure":
+            per_block[-1] += 1
+    assert Counter(per_block) == {5: 8, 2: 168, 1: 3920}
+
+
+def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
+    # block 277 holds the bilinear masks 277 * 16 + 5 and 277 * 16 + 15;
+    # the family loses the first and gains the non-bilinear 277 * 16 + 1
+    family = explorer._bilinear_family(2, 2)
+    removed, added = 4437, 4433
+    assert removed in family and added not in family
+    assert is_bilinear(PairSet(2, 2, 2, added)).status != "bilinear"
+    monkeypatch.setattr(explorer, "_bilinear_family",
+                        lambda p, n: family - {removed} | {added})
+    for lo, hi in ((0, 65536), (4432, 4448), (4433, 4438), (4434, 4448), (4430, 4436),
+                   (4437, 4438), (4432, 4437), (4420, 5000), (0, 4434)):
+        assert explorer._subset_range((2, 2), lo, hi) == reference_subset_range((2, 2), lo, hi)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
+    reports = [exhaustive_subset_sweep(2, 2, jobs=jobs) for jobs in (1, 2, 4)]
+    assert [r.workers for r in reports] == [1, 2, 4]
+    assert reports[0].counts["oracle_mismatch"] == 2
+    assert reports[0].counts["bilinear_sets"] == 107
+    assert reports[0].witnesses == [["oracle_mismatch", added], ["oracle_mismatch", removed]]
+    assert not reports[0].ok
+    dumped = [json.dumps(r.canonical(), sort_keys=True).encode() for r in reports]
+    assert dumped[1] == dumped[0] and dumped[2] == dumped[0]
+
+
+def _edit_closures(monkeypatch, edit):
+    """_span_closure in explorer and bilinear, with each closure indicator
+    passed through edit."""
+    inner = bilinear._span_closure
+
+    def edited(*args):
+        res = inner(*args)
+        closed = res.closed
+        return bilinear.ClosureResult(res.w1, res.w2, res.span,
+                                      PairSet(closed.p, closed.n1, closed.n2,
+                                              edit(closed.indicator)))
+
+    monkeypatch.setattr(explorer, "_span_closure", edited)
+    monkeypatch.setattr(bilinear, "_span_closure", edited)
+
+
+def test_a_mask_gives_its_mismatch_before_its_transversality(monkeypatch):
+    # a closure grown by the pair (3, 3) makes the transverse bilinear mask
+    # 4437 non-bilinear: a mismatch against the family and a transverse
+    # non-bilinear set, reported in that order
+    _edit_closures(monkeypatch, lambda ind: ind | 1 << 15 if ind == 4437 else ind)
+    fast = explorer._subset_range((2, 2), 4420, 4460)
+    assert fast == reference_subset_range((2, 2), 4420, 4460)
+    assert fast[1] == [["oracle_mismatch", 4437], ["transverse_non_bilinear", 4437]]
+    assert fast[0]["transverse_non_bilinear"] == fast[0]["oracle_mismatch"] == 1
+
+
+def test_a_closure_that_is_not_extensive_raises(monkeypatch):
+    # (0, 0) taken out of every closure: no nonempty mask lies in its own
+    _edit_closures(monkeypatch, lambda ind: ind & ~1)
+    with pytest.raises(AssertionError, match="not extensive"):
+        explorer._subset_range((2, 2), 4432, 4448)
+    with pytest.raises(AssertionError, match="not extensive"):
+        is_bilinear(PairSet(2, 2, 2, 4437))
+
+
+def test_bilinear_family_keeps_the_shape_the_benchmark_reads():
+    # perfbench/run.py imports _bilinear_family for the gate of its mixed
+    # workload: a frozenset of the 107 indicator ints at (2,2)
+    family = explorer._bilinear_family(2, 2)
+    assert type(family) is frozenset and len(family) == 107
+    assert all(type(m) is int and 0 <= m < 1 << 16 for m in family)
 
 
 SWEEPS = (exhaustive_subset_sweep, classify_hyperplane_fibers, search_sigma,
