@@ -1,8 +1,10 @@
 """Exhaustive sweeps over small parameter spaces: every claim the library
 makes about transverse and bilinear sets at desk scale is re-checked here by
-brute force, candidate by candidate.  The classification, collineation and
-fundamental sweeps share one fiber-map DFS (_fiber_maps) that prunes on the
-line condition; every candidate it does not visit fails that condition.
+brute force over a whole candidate space.  The powerset sweep decides a block
+of subsets at a time, reading only the masks whose row 0 is a subspace.  The
+classification, collineation and fundamental sweeps share one fiber-map DFS
+(_fiber_maps) that prunes on the line condition; every candidate it does not
+visit fails that condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
@@ -270,12 +272,11 @@ def _subset_range(args: tuple, lo: int, hi: int):
     the extensivity check of every mask of the block.  The verdict is
     compared with the family's row-0 bitset of the block, bit for bit.
 
-    Transversality is read fiberwise only on masks that pass the row test:
-    (mask & low) * spread copies row 0, {x : (x, 0) in A}, into every row,
-    and a mask with a bit outside that copy has a nonempty vertical fiber
-    that misses 0, so it is not transverse.  Those masks are the r0 that
-    contain pi1, the OR of the rows y >= 1, walked in ascending order.  At
-    (2,2), 6,560 of the 65,535 nonempty subsets pass."""
+    In a nonempty transverse set each nonempty vertical fiber is closed under
+    addition, so it holds 0, and row 0, {x : (x, 0) in A}, equals pi1(A);
+    row 0 is closed under horizontal sums, so it is a subspace W containing
+    pi1.  So the same masks base | W carry both verdicts: each W in the
+    window gets one fiberwise read, and no other mask is transverse."""
     p, n = args
     m1 = p**n
     low = (1 << m1) - 1
@@ -291,34 +292,23 @@ def _subset_range(args: tuple, lo: int, hi: int):
         spans = tuple(_span_mask(p, n, u) for u in unions)
         w2 = _span_mask(p, n, pi2 | 1)
         verdict = 0
+        odd = []
         for w in _subspaces_over(p, n, pi1):
             closed = _span_closure(p, n, n, w, w2, spans).closed.indicator
             if (base | w) & ~closed:
                 raise AssertionError("closure is not extensive; this is a bug")
-            if closed == base | w:
-                verdict |= 1 << w
-        window = (1 << r_hi) - (1 << r_lo)
-        verdict &= window
-        miss = (verdict ^ family.get(top, 0)) & window
-        bilinear += verdict.bit_count()
-        mismatch += miss.bit_count()
-        odd = []
-        free = low & ~pi1
-        s = 0
-        while True:
-            r0 = pi1 | s
-            if r0 >= r_hi:
-                break
-            if (r0 >= r_lo and (base | r0)
-                    and _fiber_map_read(p, n, n, base | r0)[0] is None):
+            if not r_lo <= w < r_hi:
+                continue
+            verdict |= (closed == base | w) << w
+            if _fiber_map_read(p, n, n, base | w)[0] is None:
                 transverse += 1
-                if verdict >> r0 & 1:
+                if verdict >> w & 1:
                     transverse_bilinear += 1
                 else:
-                    odd.append(r0)
-            if s == free:
-                break
-            s = (s - free) & free  # the next subset of free, ascending
+                    odd.append(w)
+        miss = (verdict ^ family.get(top, 0)) & ((1 << r_hi) - (1 << r_lo))
+        bilinear += verdict.bit_count()
+        mismatch += miss.bit_count()
         if (miss or odd) and len(witnesses) < 8:
             # mask by mask; a mask's mismatch comes before its transversality
             found = sorted([(r0, 0) for r0 in _iter_bits(miss)] + [(r0, 1) for r0 in odd])
@@ -340,10 +330,11 @@ def exhaustive_subset_sweep(
     p: int, n: int, jobs: int = 1, override_cap: bool = False
 ) -> SweepReport:
     """Scan every subset of F_p^n x F_p^n: each one gets a bilinearity
-    verdict (is_bilinear's criterion, decided a block of masks at a time)
-    cross-checked against
-    direct membership in the enumerated bilinear family, and a fiberwise
-    transversality verdict; every nonempty transverse subset must be bilinear.
+    verdict (is_bilinear's criterion) cross-checked against direct
+    membership in the enumerated bilinear family, and a transversality
+    verdict; every nonempty transverse subset must be bilinear.  Both are
+    decided a block of masks at a time, on the masks whose row 0 is a
+    subspace containing the other rows (see _subset_range).
     Only pair spaces of at most 16 points are powerset-enumerable without
     override_cap; larger parameters go through classify_hyperplane_fibers."""
     _check_sizes(p, n)
@@ -539,8 +530,9 @@ def search_sigma(
     """Sweep projective permutations sigma and test each span set P_sigma for
     bilinearity.  Exhaustive mode ranks all k! permutations lexicographically
     and raises ValueError if given a sample count or seed; samples mode draws
-    `samples` seeded permutations instead.  Projective sigma must never
-    produce a non-bilinear set."""
+    `samples` seeded permutations instead, a count checked against the cap
+    before any is drawn.  Projective sigma must never produce a
+    non-bilinear set."""
     _check_sizes(p, n)
     k = proj_count(p, n)
     if mode == "exhaustive":
@@ -554,6 +546,7 @@ def search_sigma(
             raise ValueError("samples mode needs both a sample count and a seed")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
+        check_cap(samples, override_cap, "sigma sample draw")
         rng = SplitMix64(seed)
         drawn = []
         for _ in range(samples):

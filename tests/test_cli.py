@@ -506,6 +506,8 @@ def test_readme_command_lines_parse():
     ["verify", "fundamental", "--p", "2", "--n", "20"],
     ["verify", "fundamental", "--p", "2", "--n", "20000"],
     ["verify", "classification", "--mode", "xi", "--p", "997"],
+    ["verify", "sigma-search", "--mode", "samples", "--samples", str((1 << 26) + 1),
+     "--seed", "1"],
 ])
 def test_huge_counts_get_the_cap_advice_at_once(argv, capsys):
     # counts past 4,300 digits cannot be printed, and building 1048575! takes

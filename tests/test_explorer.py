@@ -4,6 +4,7 @@ searches, and the deterministic parallel engine."""
 import inspect
 import json
 import math
+import time
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -260,6 +261,21 @@ def test_a_mask_failing_the_row_test_is_not_transverse(p, n, masks):
             assert _misses_zero(p, n, mask)
             assert pairsets._fiber_map_read(p, n, n, mask)[0] is not None
     assert failed and passed
+    # what the powerset sweep's loop over W rests on: a nonempty transverse
+    # set has as row 0 a subspace that contains the OR of its rows y >= 1
+    m1 = p**n
+    low = (1 << m1) - 1
+    subspaces = {pairsets.subspace_mask(s) for s in all_subspaces(p, n)}
+    accepted = 0
+    for mask in masks:
+        if mask and pairsets._fiber_map_read(p, n, n, mask)[0] is None:
+            accepted += 1
+            pi1 = 0
+            for y in range(1, m1):
+                pi1 |= mask >> m1 * y & low
+            assert mask & low in subspaces and not pi1 & ~mask
+    # the seeded masks are rarely transverse; a whole powerset holds them all
+    assert accepted or not isinstance(masks, range)
 
 
 def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
@@ -274,20 +290,22 @@ def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
         monkeypatch.setattr(explorer, name, counted)
     counts, _ = explorer._subset_range((2, 2), 0, 65536)
     assert counts["transverse_nonempty"] == 107
-    # one read of rows 1-3 per block of 16 masks; 9^4 - 1 nonempty masks
-    # have each vertical fiber empty or through 0
+    # one read of rows 1-3 per block of 16 masks; one closure lookup and one
+    # fiberwise read per subspace W of F_2^2 that contains pi1, the OR of
+    # the block's rows 1-3, with W as row 0: 4,296 of the 65,535 nonempty
+    # masks
     assert Counter(calls) == {
-        "_span_closure": 4296, "_fiber_read": 4096, "_fiber_map_read": 6560}
-    # one closure lookup per subspace W of F_2^2 that contains pi1, the OR
-    # of the block's rows 1-3: all 5 when pi1 lies in {0} (8 blocks), 2 when
-    # its span is a line (3 lines, 4^3 - 2^3 blocks each), 1 otherwise
-    per_block = []
-    for name in calls:
-        if name == "_fiber_read":
-            per_block.append(0)
-        elif name == "_span_closure":
-            per_block[-1] += 1
-    assert Counter(per_block) == {5: 8, 2: 168, 1: 3920}
+        "_span_closure": 4296, "_fiber_read": 4096, "_fiber_map_read": 4296}
+    # all 5 subspaces when pi1 lies in {0} (8 blocks), 2 when its span is a
+    # line (3 lines, 4^3 - 2^3 blocks each), 1 otherwise
+    for counted in ("_span_closure", "_fiber_map_read"):
+        per_block = []
+        for name in calls:
+            if name == "_fiber_read":
+                per_block.append(0)
+            elif name == counted:
+                per_block[-1] += 1
+        assert Counter(per_block) == {5: 8, 2: 168, 1: 3920}
 
 
 def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
@@ -347,6 +365,10 @@ def test_a_closure_that_is_not_extensive_raises(monkeypatch):
         explorer._subset_range((2, 2), 4432, 4448)
     with pytest.raises(AssertionError, match="not extensive"):
         is_bilinear(PairSet(2, 2, 2, 4437))
+    # row 0 = {1} is no subspace, so no W lies in this window; the closures
+    # of the block are checked all the same
+    with pytest.raises(AssertionError, match="not extensive"):
+        explorer._subset_range((2, 2), 4434, 4435)
 
 
 def test_bilinear_family_keeps_the_shape_the_benchmark_reads():
@@ -453,6 +475,16 @@ def test_sigma_search_samples_reproducible():
     assert a.counts["candidates"] == 100
     with pytest.raises(ValueError):
         search_sigma(2, 3, mode="samples", samples=100)  # seed missing
+
+
+def test_a_sample_count_past_the_cap_is_refused_before_the_draw(monkeypatch):
+    # the draw would hold every table in one tuple; nothing may be drawn
+    monkeypatch.setattr(explorer, "exchange_shuffle", None)
+    monkeypatch.setattr(explorer, "_map_ranges", None)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        search_sigma(2, 3, mode="samples", samples=(1 << 26) + 1, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parallel_results_match_serial():
