@@ -10,22 +10,23 @@ A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
 dim W2 - dim S(A).  The decision is made one way, on the indicator int, by
-_status(p, n1, n2, ind): is_bilinear wraps its result in a verdict,
-closure returns its closure result, and the classification, sigma and xi
-sweeps call it on each candidate mask.  The powerset sweep makes the same
-decision for a whole block of masks that share the rows y >= 1, with one
-_span_closure lookup per subspace W1 (explorer._subset_range).  The
-read goes once through the horizontal fibers A^y = {x : (x, y) in A}:
-pi1 is the union of the fibers, pi2 the set of y with a nonempty fiber, and
-for y = lam * rep_c, x (x) y = lam * (x (x) rep_c), so
+_status(p, n1, n2, ind), which returns the verdict: is_bilinear and closure
+both return it, and the classification, sigma and xi sweeps call it on each
+candidate mask.  The powerset sweep makes the same decision for a whole
+block of masks that share the rows y >= 1, with one _span_zero lookup per
+block (explorer._subset_range).  The read goes once through the
+horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of the fibers,
+pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
+x (x) y = lam * (x (x) rep_c), so
 
     S(A) = sum over the projective classes c of F_p^{n2} of span(U_c) (x) rep_c,
 
-with U_c the union of the fibers over the members of c.  S(A) therefore
-depends only on the span masks of the U_c, and its canonical RREF basis is
-cached on (p, n1, n2, tuple of those masks); the closure is cached on the
-span masks of pi1 and pi2 plus that tuple, and cut out by the kernel rows of
-S(A) (fpcore._kernel_rows; packed at p = 2).  Every key is made of ints.  The
+with U_c the union of the fibers over the members of c.  S(A) and its zero
+set Z = {(x, y) : x (x) y in S(A)}, cut out by the kernel rows of S(A)
+(fpcore._kernel_rows; packed at p = 2), therefore depend only on the span
+masks of the U_c, and the one memo of them (_span_zero) is keyed on (p, n1,
+n2, tuple of those masks).  The closure is Z ANDed with the box W1 x W2,
+which is w1 times the {0} x W2 cell.  Every key is made of ints.  The
 annihilator itself is certificate content only: the ``ann`` attribute of a
 result is the kernel of S(A) in the coordinates of W1 and W2, computed from
 (W1, W2, S(A)) when read.  ann and orth stay public and are the reference
@@ -56,8 +57,8 @@ from .fpcore import (
 )
 from .pairsets import (
     PairSet,
+    _fiber_cell,
     _fiber_read,
-    _iter_bits,
     _kernel_masks,
     _span_mask,
     mask_to_subspace,
@@ -203,13 +204,12 @@ def orth(m: FormSpace, w1: Subspace, w2: Subspace) -> PairSet:
 # ------------------------------------------------- the span of outer products
 
 
-@lru_cache(maxsize=4096)
 def _fiber_span(p: int, n1: int, n2: int, spans: tuple) -> tuple:
     """Canonical RREF basis of S(A) = span{x (x) y : (x, y) in A}, from the
     span masks of the per-class fiber unions U_c.  For y = lam * rep_c,
     x (x) y = lam * (x (x) rep_c), so S(A) is the sum over the classes of
     span(U_c) (x) rep_c: only the basis rows of each span(U_c), times rep_c,
-    are eliminated.  The closure uses it at odd p; at p = 2 _span_gf2 gives
+    are eliminated.  _span_zero uses it at odd p; at p = 2 _span_gf2 gives
     the same basis packed."""
     sp2 = vspace(p, n2)
     rows = [[a * b for a in x for b in sp2.coords[rep]]
@@ -292,11 +292,12 @@ def _unpack(v: int, width: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _span_closure(p: int, n1: int, n2: int, w1: int, w2: int, spans: tuple) -> ClosureResult:
-    """Closure over the spans W1, W2 (given as bitsets) and S(A) (given by
-    its per-class fiber spans): W1 x W2 intersected with the zero sets of
-    the check forms of S(A).  At p = 2, S(A) and its check forms stay
-    packed (_span_gf2) and only the span field is unpacked; odd p works on
+def _span_zero(p: int, n1: int, n2: int, spans: tuple) -> tuple[tuple, int]:
+    """S(A) and its zero set, from the span masks of the per-class fiber
+    unions: the canonical RREF basis of S(A), flattened row-major, and the
+    indicator of Z = {(x, y) : x (x) y in S(A)}, the joint zero set of the
+    check forms of S(A) over all pairs.  At p = 2, S(A) and its check forms
+    stay packed (_span_gf2) and only the basis is unpacked; odd p works on
     lists (_fiber_span, _kernel_rows)."""
     if p == 2:
         rows, checks = _span_gf2(n1, n2, spans)
@@ -305,14 +306,10 @@ def _span_closure(p: int, n1: int, n2: int, w1: int, w2: int, spans: tuple) -> C
     else:
         span = _fiber_span(p, n1, n2, spans)
         forms = _kernel_rows(span, n1 * n2, p)
-    m1 = p**n1
-    out = 0
-    for y in _iter_bits(w2):
-        out |= w1 << (m1 * y)
+    zero = (1 << p ** (n1 + n2)) - 1
     for h in forms:
-        out &= _form_zero_mask(p, n1, n2, h)
-    return ClosureResult(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
-                         PairSet(p, n1, n2, out))
+        zero &= _form_zero_mask(p, n1, n2, h)
+    return span, zero
 
 
 @lru_cache(maxsize=4096)
@@ -354,34 +351,24 @@ def closure(a: PairSet) -> ClosureResult:
 
     Extensive (A is always contained in the result, and the result always
     contains (0,0)) and idempotent; A is bilinear iff it equals its closure
-    and its projections are subspaces.
+    and its projections are subspaces.  The result is is_bilinear's verdict.
     """
-    return _status(a.p, a.n1, a.n2, a.indicator)[1]
+    return _status(a.p, a.n1, a.n2, a.indicator)
 
 
 @dataclass(frozen=True)
-class BilinearVerdict:
-    """Outcome of the bilinearity decision.
+class BilinearVerdict(ClosureResult):
+    """Outcome of the bilinearity decision: a closure result and its verdict.
 
-    status is "bilinear", "non_bilinear" or "empty".  w1/w2 are the spans of
-    the projections, span the RREF basis of S(A), ann the annihilator over
-    w1 x w2 (computed when read).  For a non-bilinear set either
-    non_subspace_axis names the projection that is not a subspace
+    status is "bilinear", "non_bilinear" or "empty".  For a non-bilinear set
+    either non_subspace_axis names the projection that is not a subspace
     ("first"/"second"), or witness is the smallest-index pair in the closure
     that is missing from the set (often both are available).
     """
 
     status: str
-    w1: Subspace
-    w2: Subspace
-    span: tuple
-    closed: PairSet
     witness: tuple[int, int] | None
     non_subspace_axis: str | None
-
-    @property
-    def ann(self) -> FormSpace:
-        return _span_ann(self.w1, self.w2, self.span)
 
     @property
     def r1(self) -> int:
@@ -397,31 +384,27 @@ class BilinearVerdict:
         return self.w1.dim * self.w2.dim - len(self.span)
 
 
-def _status(p: int, n1: int, n2: int, ind: int) -> tuple:
-    """The bilinearity decision on an indicator int: (status, closure
-    result, witness, axis), the fields of is_bilinear's verdict.  The set is
-    read once, through its fibers, and the closure is looked up by (W1, W2,
-    span masks of the class unions)."""
+def _status(p: int, n1: int, n2: int, ind: int) -> BilinearVerdict:
+    """The bilinearity decision on an indicator int.  The set is read once,
+    through its fibers, and S(A) and its zero set Z are looked up by the
+    span masks of the class unions.  The closure is Z cut to W1 x W2: the
+    {0} x W2 cell is W2's column, so w1 times it is the box (the shifted
+    copies of w1 never overlap)."""
     pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
     w1, w2 = _span_mask(p, n1, pi1), _span_mask(p, n2, pi2)
-    res = _span_closure(p, n1, n2, w1, w2, tuple(_span_mask(p, n1, u) for u in unions))
-    if not ind:
-        return "empty", res, None, None
-    axis = None
-    if pi1 != w1:
-        axis = "first"
-    elif pi2 != w2:
-        axis = "second"
-    extra = res.closed.indicator & ~ind
-    if ind & ~res.closed.indicator:
+    span, zero = _span_zero(p, n1, n2, tuple(_span_mask(p, n1, u) for u in unions))
+    closed = zero & w1 * _fiber_cell(p, n1, n2, -1, w2)
+    if ind & ~closed:
         raise AssertionError("closure is not extensive; this is a bug")
-    if axis is None and not extra:
-        return "bilinear", res, None, None
-    witness = None
-    if extra:
+    status, witness, axis = "empty", None, None
+    if ind:
+        extra = closed & ~ind
         i = (extra & -extra).bit_length() - 1
-        witness = (i % p**n1, i // p**n1)
-    return "non_bilinear", res, witness, axis
+        witness = (i % p**n1, i // p**n1) if extra else None
+        axis = "first" if pi1 != w1 else "second" if pi2 != w2 else None
+        status = "bilinear" if witness is None and axis is None else "non_bilinear"
+    return BilinearVerdict(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
+                           PairSet(p, n1, n2, closed), status, witness, axis)
 
 
 def is_bilinear(a: PairSet) -> BilinearVerdict:
@@ -432,5 +415,4 @@ def is_bilinear(a: PairSet) -> BilinearVerdict:
     A, so the decision reduces to: both projections are subspaces and A
     equals its bilinear closure.  The empty set gets its own status.
     """
-    status, res, witness, axis = _status(a.p, a.n1, a.n2, a.indicator)
-    return BilinearVerdict(status, res.w1, res.w2, res.span, res.closed, witness, axis)
+    return _status(a.p, a.n1, a.n2, a.indicator)

@@ -535,8 +535,20 @@ def _replay_sweep_certificate(cert: dict, args) -> tuple[bool, list]:
 # --------------------------------------------------------------- commands
 
 
+# the flags each construction reads, with their defaults
+_CONSTRUCT_FLAGS = {"f3": {}, "sigma-fig2": {}, "p-sigma": {"p": 2, "n": 3, "seed": None},
+                    "p-xi": {"p": 2, "seed": None}}
+
+
 def _cmd_construct(args) -> int:
-    if args.what in ("p-sigma", "p-xi") and args.seed is None:
+    reads = _CONSTRUCT_FLAGS[args.what]
+    given = {f: getattr(args, f) for f in ("p", "n", "seed")}
+    extra = " ".join(f"--{f} {v}" for f, v in given.items() if v is not None and f not in reads)
+    if extra:
+        takes = " ".join(f"--{f}" for f in reads) or "no flags"
+        raise ValueError(f"construct {args.what} does not take {extra}; it takes {takes}")
+    p, n, seed = (reads.get(f) if v is None else v for f, v in given.items())
+    if reads and seed is None:
         print("construct: this construction requires an explicit --seed", file=sys.stderr)
         return 2
     if args.what == "f3":
@@ -544,10 +556,10 @@ def _cmd_construct(args) -> int:
     elif args.what == "sigma-fig2":
         a = build_P_sigma(sigma_fig2())
     elif args.what == "p-sigma":
-        a = build_P_sigma(random_sigma(args.p, args.n, args.seed), override_cap=args.override_cap)
+        a = build_P_sigma(random_sigma(p, n, seed), override_cap=args.override_cap)
     else:  # p-xi: W = {0} inside F_p^2, the image line is the whole plane
-        xi = random_sigma(args.p, 2, args.seed)
-        a = build_P_xi(Subspace.zero(args.p, 2), Subspace.full(args.p, 2), xi,
+        xi = random_sigma(p, 2, seed)
+        a = build_P_xi(Subspace.zero(p, 2), Subspace.full(p, 2), xi,
                        override_cap=args.override_cap)
     write_document(set_document(a), args.out)
     transverse = transversality_violation(a) is None
@@ -667,8 +679,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build a named example set")
     c.add_argument("what", choices=["f3", "sigma-fig2", "p-sigma", "p-xi"])
-    c.add_argument("--p", type=int, default=2)
-    c.add_argument("--n", type=int, default=3)
+    c.add_argument("--p", type=int)
+    c.add_argument("--n", type=int)
     c.add_argument("--seed", type=int)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_construct)

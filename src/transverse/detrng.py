@@ -14,6 +14,8 @@ from __future__ import annotations
 __all__ = ["SplitMix64", "exchange_shuffle"]
 
 _MASK = (1 << 64) - 1
+# the state step of one draw: n draws move the state by n * _GAMMA
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -23,7 +25,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK

@@ -1,10 +1,10 @@
 """Exhaustive sweeps over small parameter spaces: every claim the library
 makes about transverse and bilinear sets at desk scale is re-checked here by
 brute force over a whole candidate space.  The powerset sweep decides a block
-of subsets at a time, reading only the masks whose row 0 is a subspace.  The
-classification, collineation and fundamental sweeps share one fiber-map DFS
-(_fiber_maps) that prunes on the line condition; every candidate it does not
-visit fails that condition.
+of subsets at a time, from one lookup of S(A) and its zero set, reading only
+the masks whose row 0 is a subspace.  The classification, collineation and
+fundamental sweeps share one fiber-map DFS (_fiber_maps) that prunes on the
+line condition; every candidate it does not visit fails that condition.
 
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
 
-from .bilinear import FormSpace, _form_zero_mask, _span_closure, _status, orth
+from .bilinear import FormSpace, _form_zero_mask, _span_zero, _status, orth
 from .constructions import _sigma_mask, _xi_mask
 from .counting import proj_count
-from .detrng import SplitMix64, exchange_shuffle
+from .detrng import _GAMMA, SplitMix64, exchange_shuffle
 from .fpcore import (
     CapExceeded,
     Subspace,
@@ -54,6 +54,7 @@ from .fpcore import (
 from .pairsets import (
     PairSet,
     SingleSet,
+    _fiber_cell,
     _fiber_map_mask,
     _fiber_map_read,
     _fiber_read,
@@ -258,19 +259,20 @@ def _subset_range(args: tuple, lo: int, hi: int):
 
     The block reads those rows once: pi1, pi2 and the span masks of the
     class unions; row 0 joins no class union, since y = 0 lies in no
-    projective class.  Mask base | r0 has the projections pi1 | r0 and, when
-    r0 is nonempty, pi2 | 1, so W2 = span(pi2 | 1) is fixed and W1 is a
+    projective class, so the block shares S(A) and its zero set Z
+    (_span_zero).  Mask base | r0 has the projections pi1 | r0 and, when r0
+    is nonempty, pi2 | 1, so W2 = span(pi2 | 1) is fixed and W1 is a
     subspace W containing pi1.  The mask is bilinear (is_bilinear's
     criterion) iff its projections are W and W2 and it equals the closure
-    C_W over them.  As x (x) y = 0 when x or y is 0, row 0 of C_W is W and
-    the nonempty rows of C_W are those of W2, so C_W == base | W forces
+    C_W = Z & (W x W2).  As x (x) y = 0 when x or y is 0, row 0 of C_W is W
+    and the nonempty rows of C_W are those of W2, so C_W == base | W forces
     r0 = W, pi1 | r0 = W and pi2 | 1 = W2: the mask base | W is bilinear iff
-    C_W == base | W, and no other mask of the block is.  One closure lookup
-    per W decides the block as a 2^(p^n)-bit verdict, bit r0 set for a
-    bilinear mask.  Every mask base | r0 lies in base | W for W =
-    span(pi1 | r0), so the check that base | W lies in C_W for each W is
-    the extensivity check of every mask of the block.  The verdict is
-    compared with the family's row-0 bitset of the block, bit for bit.
+    C_W == base | W, and no other mask of the block is.  One AND per W
+    decides the block as a 2^(p^n)-bit verdict, bit r0 set for a bilinear
+    mask.  Every mask base | r0 lies in base | W for W = span(pi1 | r0), so
+    the check that base | W lies in C_W for each W is the extensivity check
+    of every mask of the block.  The verdict is compared with the family's
+    row-0 bitset of the block, bit for bit.
 
     In a nonempty transverse set each nonempty vertical fiber is closed under
     addition, so it holds 0, and row 0, {x : (x, 0) in A}, equals pi1(A);
@@ -289,12 +291,12 @@ def _subset_range(args: tuple, lo: int, hi: int):
         base = top << m1
         r_lo, r_hi = max(lo - base, 0), min(hi - base, low + 1)
         pi1, pi2, unions = _fiber_read(p, n, n, base)
-        spans = tuple(_span_mask(p, n, u) for u in unions)
-        w2 = _span_mask(p, n, pi2 | 1)
+        _, zero = _span_zero(p, n, n, tuple(_span_mask(p, n, u) for u in unions))
+        col = _fiber_cell(p, n, n, -1, _span_mask(p, n, pi2 | 1))
         verdict = 0
         odd = []
         for w in _subspaces_over(p, n, pi1):
-            closed = _span_closure(p, n, n, w, w2, spans).closed.indicator
+            closed = zero & w * col
             if (base | w) & ~closed:
                 raise AssertionError("closure is not extensive; this is a bug")
             if not r_lo <= w < r_hi:
@@ -454,10 +456,10 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
             counts["leaf_rejected"] += 1
             return
         counts["valid"] += 1
-        status, res, _, _ = _status(p, n, n, mask)
-        alt = _classify_leaf(p, n, mask.bit_count(), f0, fibers, full, res.span)
+        v = _status(p, n, n, mask)
+        alt = _classify_leaf(p, n, mask.bit_count(), f0, fibers, full, v.span)
         counts[f"alt{alt}"] += 1
-        if status == "bilinear":
+        if v.status == "bilinear":
             counts["bilinear"] += 1
 
     for d0 in range(d_lo, d_hi):
@@ -489,11 +491,21 @@ def classify_hyperplane_fibers(
 # --------------------------------------------------------------- sigma sweep
 
 
+def _sample_range(k: int, seed: int, lo: int, hi: int):
+    """Samples lo, ..., hi - 1 of the seeded stream of shuffles of range(k):
+    a shuffle takes k - 1 draws, so sample i starts i * (k - 1) draws in."""
+    rng = SplitMix64(seed + lo * (k - 1) * _GAMMA)
+    for _ in range(lo, hi):
+        table = list(range(k))
+        exchange_shuffle(table, rng)
+        yield tuple(table)
+
+
 def _sigma_range(args: tuple, lo: int, hi: int):
-    """Each rank's permutation is the image class table of sigma: it goes
-    straight to the span-set, bilinearity and recognition cores, with no map
-    or set object."""
-    p, n, tables = args
+    """Each rank's permutation (lexicographic, or with a seed the sample of
+    that rank) is the image class table of sigma: it goes straight to the
+    span-set, bilinearity and recognition cores, with no map or set object."""
+    p, n, seed = args
     k = proj_count(p, n)
     counts = {
         "candidates": hi - lo,
@@ -503,10 +515,10 @@ def _sigma_range(args: tuple, lo: int, hi: int):
         "projective_non_bilinear": 0,
     }
     witnesses = []
-    ranked = tables[lo:hi] if tables is not None else _perm_range(lo, hi, k)
+    ranked = _perm_range(lo, hi, k) if seed is None else _sample_range(k, seed, lo, hi)
     for rank, table in zip(range(lo, hi), ranked):
-        status, _, witness, _ = _status(p, n, n, _sigma_mask(p, n, n, table))
-        hit = status == "non_bilinear"
+        v = _status(p, n, n, _sigma_mask(p, n, n, table))
+        hit = v.status == "non_bilinear"
         projective = _recognize_table(p, n, n, table) is not None
         counts["non_bilinear" if hit else "bilinear"] += 1
         counts["projective"] += projective
@@ -514,7 +526,7 @@ def _sigma_range(args: tuple, lo: int, hi: int):
             counts["projective_non_bilinear"] += 1
             witnesses.append(["projective_non_bilinear", rank])
         elif hit and len(witnesses) < 16:
-            witnesses.append([rank, list(witness) if witness is not None else None])
+            witnesses.append([rank, list(v.witness) if v.witness is not None else None])
     return counts, witnesses
 
 
@@ -531,15 +543,14 @@ def search_sigma(
     bilinearity.  Exhaustive mode ranks all k! permutations lexicographically
     and raises ValueError if given a sample count or seed; samples mode draws
     `samples` seeded permutations instead, a count checked against the cap
-    before any is drawn.  Projective sigma must never produce a
-    non-bilinear set."""
+    before any is drawn, each worker drawing its own.  Projective sigma must
+    never produce a non-bilinear set."""
     _check_sizes(p, n)
     k = proj_count(p, n)
     if mode == "exhaustive":
         if samples is not None or seed is not None:
             raise ValueError("exhaustive mode takes no sample count or seed")
         total = capped_factorial(k, override_cap, "permutation sweep")
-        tables = None
         parameters = {"p": p, "n": n, "mode": "exhaustive"}
     elif mode == "samples":
         if samples is None or seed is None:
@@ -547,18 +558,11 @@ def search_sigma(
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         check_cap(samples, override_cap, "sigma sample draw")
-        rng = SplitMix64(seed)
-        drawn = []
-        for _ in range(samples):
-            table = list(range(k))
-            exchange_shuffle(table, rng)
-            drawn.append(tuple(table))
-        tables = tuple(drawn)
         total = samples
         parameters = {"p": p, "n": n, "mode": "samples", "samples": samples, "seed": seed}
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
-    return _sweep("search_sigma", parameters, _sigma_range, (p, n, tables), total, jobs,
+    return _sweep("search_sigma", parameters, _sigma_range, (p, n, seed), total, jobs,
                   lambda c: c["projective_non_bilinear"] == 0, cap=16)
 
 
@@ -687,8 +691,8 @@ def _xi_range(args: tuple, lo: int, hi: int):
     }
     witnesses = []
     for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
-        status, res, _, _ = _status(p, 2, 2, _xi_mask(w, 2, table))
-        bilinear = status == "bilinear"
+        v = _status(p, 2, 2, _xi_mask(w, 2, table))
+        bilinear = v.status == "bilinear"
         if _recognize_table(p, 2, 2, table) is not None:
             counts["projective"] += 1
             counts["projective_bilinear"] += bilinear
@@ -698,9 +702,8 @@ def _xi_range(args: tuple, lo: int, hi: int):
         else:
             counts["non_projective"] += 1
             counts["non_projective_non_bilinear"] += not bilinear
-            r3 = res.w1.dim * res.w2.dim - len(res.span)  # dim ann
-            counts["non_projective_ann_zero"] += r3 == 0
-            if bilinear or r3 != 0:
+            counts["non_projective_ann_zero"] += v.r3 == 0
+            if bilinear or v.r3 != 0:
                 counts["violations"] += 1
                 if len(witnesses) < 8:
                     witnesses.append(["non_projective_bilinear", rank])

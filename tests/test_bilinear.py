@@ -3,8 +3,7 @@
 import pytest
 
 from transverse.bilinear import (
-    _fiber_span,
-    _span_closure,
+    _span_zero,
     _status,
     FormSpace,
     ann,
@@ -120,9 +119,9 @@ def test_empty_set_status():
 
 
 def test_status_is_the_verdict_on_the_indicator():
-    status, res, witness, axis = _status(2, 2, 2, 0)
-    assert (status, witness, axis) == ("empty", None, None)
-    assert res == closure(PairSet.empty(2, 2, 2))
+    v = _status(2, 2, 2, 0)
+    assert (v.status, v.witness, v.non_subspace_axis) == ("empty", None, None)
+    assert v == closure(PairSet.empty(2, 2, 2)) == is_bilinear(PairSet.empty(2, 2, 2))
     # (3,1,2): n1 != n2; sparse random sets, their closures and products of
     # subspaces reach every status and both axes
     rng = SplitMix64(140)
@@ -135,10 +134,9 @@ def test_status_is_the_verdict_on_the_indicator():
     seen = set()
     for mask in masks:
         a = PairSet(3, 1, 2, mask)
-        v = is_bilinear(a)
         got = _status(3, 1, 2, mask)
-        assert got == (v.status, closure(a), v.witness, v.non_subspace_axis)
-        seen.add((got[0], got[3], got[2] is None))
+        assert got == is_bilinear(a) == closure(a)
+        seen.add((got.status, got.non_subspace_axis, got.witness is None))
     assert {("empty", None, True), ("bilinear", None, True), ("non_bilinear", None, False),
             ("non_bilinear", "first", False), ("non_bilinear", "second", False)} <= seen
 
@@ -187,12 +185,10 @@ def test_span_cache_is_keyed_by_per_class_fiber_spans():
     a = PairSet.from_pairs(3, 2, 2, [(e1, y), (e2, y2)])
     swapped = PairSet.from_pairs(3, 2, 2, [(e2, y), (e1, y2)])
     respanned = PairSet.from_pairs(3, 2, 2, [(e12, y), (e1, y2)])
-    _fiber_span.cache_clear()
-    _span_closure.cache_clear()
+    _span_zero.cache_clear()
     results = [closure(s) for s in (a, swapped, respanned)]
-    info = _span_closure.cache_info()
+    info = _span_zero.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert _fiber_span.cache_info().misses == 1
     assert results[0].span == results[1].span == results[2].span
     assert len(results[0].span) == 2  # e1 (x) y and e2 (x) y
 
@@ -205,9 +201,8 @@ def test_verdicts_do_not_depend_on_the_cache():
         for _ in range(rng.below(12) + 1):
             mask |= 1 << rng.below(81)
         sets.append(PairSet(3, 2, 2, mask))
-    _fiber_span.cache_clear()
-    _span_closure.cache_clear()
+    _span_zero.cache_clear()
     cold = [is_bilinear(a) for a in sets]
     warm = [is_bilinear(a) for a in sets]
     assert cold == warm
-    assert _span_closure.cache_info().hits >= len(sets)
+    assert _span_zero.cache_info().hits >= len(sets)

@@ -165,6 +165,29 @@ def test_cli_seeded_constructions(tmp_path):
     assert read_set(one).size == 145
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "f3", "--p", "5"], "--p 5"),
+    (["construct", "sigma-fig2", "--n", "4"], "--n 4"),
+    (["construct", "f3", "--seed", "1"], "--seed 1"),
+    (["construct", "p-xi", "--n", "3", "--seed", "1"], "--n 3"),
+])
+def test_construct_rejects_flags_its_target_does_not_read(argv, flag, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"{argv[1]} does not take {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    for argv, code in ((["verify", "counting"], 0), (["construct", "f3"], 2),
+                       (["verify", "f3", "--p", "7"], 2)):
+        monkeypatch.setattr(sys, "argv", ["transverse"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+    assert "VERIFIED counting" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_construct_with_a_bad_dimension_is_a_usage_error(n, tmp_path, capsys):
     out = tmp_path / "x.json"

@@ -280,7 +280,7 @@ def test_a_mask_failing_the_row_test_is_not_transverse(p, n, masks):
 
 def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
     calls = []
-    for name in ("_span_closure", "_fiber_read", "_fiber_map_read"):
+    for name in ("_span_zero", "_fiber_read", "_fiber_map_read"):
         inner = getattr(explorer, name)
 
         def counted(*args, name=name, inner=inner):
@@ -290,22 +290,21 @@ def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
         monkeypatch.setattr(explorer, name, counted)
     counts, _ = explorer._subset_range((2, 2), 0, 65536)
     assert counts["transverse_nonempty"] == 107
-    # one read of rows 1-3 per block of 16 masks; one closure lookup and one
-    # fiberwise read per subspace W of F_2^2 that contains pi1, the OR of
-    # the block's rows 1-3, with W as row 0: 4,296 of the 65,535 nonempty
-    # masks
+    # one read of rows 1-3 and one lookup of S(A) and its zero set per block
+    # of 16 masks; one fiberwise read per subspace W of F_2^2 that contains
+    # pi1, the OR of the block's rows 1-3, with W as row 0: 4,296 of the
+    # 65,535 nonempty masks
     assert Counter(calls) == {
-        "_span_closure": 4296, "_fiber_read": 4096, "_fiber_map_read": 4296}
+        "_span_zero": 4096, "_fiber_read": 4096, "_fiber_map_read": 4296}
     # all 5 subspaces when pi1 lies in {0} (8 blocks), 2 when its span is a
     # line (3 lines, 4^3 - 2^3 blocks each), 1 otherwise
-    for counted in ("_span_closure", "_fiber_map_read"):
-        per_block = []
-        for name in calls:
-            if name == "_fiber_read":
-                per_block.append(0)
-            elif name == counted:
-                per_block[-1] += 1
-        assert Counter(per_block) == {5: 8, 2: 168, 1: 3920}
+    per_block = []
+    for name in calls:
+        if name == "_fiber_read":
+            per_block.append(Counter())
+        per_block[-1][name] += 1
+    assert all(c["_span_zero"] == 1 for c in per_block)
+    assert Counter(c["_fiber_map_read"] for c in per_block) == {5: 8, 2: 168, 1: 3920}
 
 
 def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
@@ -331,36 +330,37 @@ def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
     assert dumped[1] == dumped[0] and dumped[2] == dumped[0]
 
 
-def _edit_closures(monkeypatch, edit):
-    """_span_closure in explorer and bilinear, with each closure indicator
-    passed through edit."""
-    inner = bilinear._span_closure
+def _edit_zero_sets(monkeypatch, edit):
+    """_span_zero in explorer and bilinear, with each zero set Z passed
+    through edit(spans, Z); every closure is Z cut to its box."""
+    inner = bilinear._span_zero
 
-    def edited(*args):
-        res = inner(*args)
-        closed = res.closed
-        return bilinear.ClosureResult(res.w1, res.w2, res.span,
-                                      PairSet(closed.p, closed.n1, closed.n2,
-                                              edit(closed.indicator)))
+    def edited(p, n1, n2, spans):
+        span, zero = inner(p, n1, n2, spans)
+        return span, edit(spans, zero)
 
-    monkeypatch.setattr(explorer, "_span_closure", edited)
-    monkeypatch.setattr(bilinear, "_span_closure", edited)
+    monkeypatch.setattr(explorer, "_span_zero", edited)
+    monkeypatch.setattr(bilinear, "_span_zero", edited)
 
 
 def test_a_mask_gives_its_mismatch_before_its_transversality(monkeypatch):
-    # a closure grown by the pair (3, 3) makes the transverse bilinear mask
-    # 4437 non-bilinear: a mismatch against the family and a transverse
-    # non-bilinear set, reported in that order
-    _edit_closures(monkeypatch, lambda ind: ind | 1 << 15 if ind == 4437 else ind)
+    # blocks 276 and 277 share the class-union spans (5, 1, 1); their zero
+    # set grown by the pair (2, 2) makes the transverse bilinear masks 4437
+    # and 4447 non-bilinear: each gives a mismatch against the family and a
+    # transverse non-bilinear set, in that order (block 276 has no bilinear
+    # mask, as its row 1 misses 0)
+    _edit_zero_sets(monkeypatch, lambda spans, z: z | 1 << 10 if spans == (5, 1, 1) else z)
     fast = explorer._subset_range((2, 2), 4420, 4460)
     assert fast == reference_subset_range((2, 2), 4420, 4460)
-    assert fast[1] == [["oracle_mismatch", 4437], ["transverse_non_bilinear", 4437]]
-    assert fast[0]["transverse_non_bilinear"] == fast[0]["oracle_mismatch"] == 1
+    assert fast[1] == [["oracle_mismatch", 4437], ["transverse_non_bilinear", 4437],
+                       ["oracle_mismatch", 4447], ["transverse_non_bilinear", 4447]]
+    assert fast[0]["transverse_non_bilinear"] == fast[0]["oracle_mismatch"] == 2
 
 
 def test_a_closure_that_is_not_extensive_raises(monkeypatch):
-    # (0, 0) taken out of every closure: no nonempty mask lies in its own
-    _edit_closures(monkeypatch, lambda ind: ind & ~1)
+    # (0, 0) taken out of every zero set, so out of every closure: no
+    # nonempty mask lies in its own
+    _edit_zero_sets(monkeypatch, lambda spans, z: z & ~1)
     with pytest.raises(AssertionError, match="not extensive"):
         explorer._subset_range((2, 2), 4432, 4448)
     with pytest.raises(AssertionError, match="not extensive"):
@@ -477,8 +477,42 @@ def test_sigma_search_samples_reproducible():
         search_sigma(2, 3, mode="samples", samples=100)  # seed missing
 
 
+@pytest.mark.parametrize("seed", [0, 9, -5, (1 << 64) + 3, -(1 << 70) - 1])
+def test_a_sample_range_enters_the_stream_where_the_sequential_draw_is(seed):
+    # every shuffle of k items takes k - 1 draws, so sample i starts i * (k - 1)
+    # draws into the stream; the jump must land where drawing one by one does
+    k = proj_count(2, 3)
+    rng = SplitMix64(seed)
+    sequential = []
+    for _ in range(2000):
+        table = list(range(k))
+        explorer.exchange_shuffle(table, rng)
+        sequential.append(tuple(table))
+    for i in (0, 1, 7, 1999):
+        assert list(explorer._sample_range(k, seed, i, i + 1)) == [sequential[i]]
+    assert list(explorer._sample_range(k, seed, 5, 12)) == sequential[5:12]
+
+
+def test_samples_mode_hands_each_worker_a_seed_not_tables(monkeypatch):
+    # the workers get (p, n, seed) and draw their own ranges
+    started, submitted, calls = [], [], []
+    inner = explorer._sigma_range
+
+    def recorded(args, lo, hi):
+        calls.append((args, lo, hi))
+        return inner(args, lo, hi)
+
+    monkeypatch.setattr(explorer, "_sigma_range", recorded)
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+    report = search_sigma(2, 3, mode="samples", samples=40, seed=9, jobs=2)
+    assert calls == [((2, 3, 9), 0, 20), ((2, 3, 9), 20, 40)]
+    monkeypatch.undo()
+    assert report.canonical() == search_sigma(2, 3, mode="samples", samples=40, seed=9).canonical()
+
+
 def test_a_sample_count_past_the_cap_is_refused_before_the_draw(monkeypatch):
-    # the draw would hold every table in one tuple; nothing may be drawn
+    # nothing may be drawn or handed to a worker before the cap check
     monkeypatch.setattr(explorer, "exchange_shuffle", None)
     monkeypatch.setattr(explorer, "_map_ranges", None)
     start = time.perf_counter()

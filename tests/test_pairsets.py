@@ -141,6 +141,70 @@ def test_sumset_word_single():
         sumset_word(s, "A+")
 
 
+def _coords(p, n):
+    """Index table of F_p^n: index i has base-p digit k as coordinate k."""
+    return [tuple(i // p**k % p for k in range(n)) for i in range(p**n)]
+
+
+def _pairs(p, n1, n2, mask):
+    """Pair-by-pair walk of an indicator over all p^(n1 + n2) pair indices."""
+    m1 = p**n1
+    return {(i % m1, i // m1) for i in range(m1 * p**n2) if mask >> i & 1}
+
+
+@pytest.mark.parametrize("p, n1, n2", [(2, 2, 2), (3, 1, 2), (2, 3, 1), (5, 1, 1)])
+def test_pair_set_algebra_and_members(p, n1, n2):
+    rng = SplitMix64(150 + p * 10 + n1)
+    total = p ** (n1 + n2)
+    x_coords, y_coords = _coords(p, n1), _coords(p, n2)
+    for _ in range(30):
+        ma, mb = rng.below(1 << total), rng.below(1 << total)
+        a, b = PairSet(p, n1, n2, ma), PairSet(p, n1, n2, mb)
+        pa, pb = _pairs(p, n1, n2, ma), _pairs(p, n1, n2, mb)
+        assert set((a & b).pair_indices()) == pa & pb
+        assert set((a - b).pair_indices()) == pa - pb
+        assert set((a | b).pair_indices()) == pa | pb
+        assert a.members() == [(x_coords[x], y_coords[y])
+                               for x, y in sorted(pa, key=lambda xy: (xy[1], xy[0]))]
+    other = PairSet.empty(p, n1 + 1, n2)
+    for op in (PairSet.__and__, PairSet.__sub__):
+        with pytest.raises(ValueError, match="different spaces"):
+            op(a, other)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_single_set_members_empty_and_full(p, n):
+    coords = _coords(p, n)
+    assert SingleSet.empty(p, n).indices() == [] and SingleSet.empty(p, n).members() == []
+    full = SingleSet.full(p, n)
+    assert full.size == p**n and full.members() == coords
+    rng = SplitMix64(160 + p + n)
+    for _ in range(20):
+        mask = rng.below(1 << p**n)
+        s = SingleSet(p, n, mask)
+        assert s.members() == [coords[i] for i in range(p**n) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 1), (3, 1)])
+def test_sumset_words_with_a_minus_sign(p, n):
+    # words that open with -A start from the negated set (_mask_neg); each
+    # is checked against the sum folded vector by vector on the index table
+    coords = _coords(p, n)
+    index = {c: i for i, c in enumerate(coords)}
+    rng = SplitMix64(170 + p * 10 + n)
+    for _ in range(15):
+        members = sorted({rng.below(p**n) for _ in range(rng.below(4) + 1)})
+        a = SingleSet.from_indices(p, n, members)
+        for word in ("-A", "-A+A", "-A-A", "+A-A-A"):
+            acc = None
+            for sign in word[::2]:
+                step = [tuple((1 if sign == "+" else -1) * c % p for c in coords[i])
+                        for i in members]
+                acc = set(step) if acc is None else {
+                    tuple((u + v) % p for u, v in zip(w, t)) for w in acc for t in step}
+            assert sumset_word(a, word).indices() == sorted(index[v] for v in acc), word
+
+
 def test_empty_set_is_transverse():
     a = PairSet.empty(2, 2, 2)
     assert is_transverse(a, "fiberwise") and is_transverse(a, "direct")
