@@ -94,9 +94,20 @@ def write_document(doc: dict, path: str) -> None:
 
 
 def _load_json(path: str) -> dict:
+    def unique(pairs):  # json keeps the last of two equal keys; refuse them
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise FileFormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not ASCII (byte 0x{exc.object[exc.start]:02x} at position {exc.start})")
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
     if not isinstance(doc, dict):
@@ -143,7 +154,8 @@ def set_from_document(doc: dict, path: str = "<set>") -> PairSet:
         raise FileFormatError(f"{path}: dimensions must be positive")
     pairs = _expect(doc, "pairs", list, path)
     m1, m2 = p**n1, p**n2
-    previous = None
+    mask = 0
+    previous = -1  # pairs ascend in (x, y) exactly when their ranks x * m2 + y do
     for position, entry in enumerate(pairs):
         where = f"{path}: pairs[{position}]"
         if (
@@ -157,10 +169,12 @@ def set_from_document(doc: dict, path: str = "<set>") -> PairSet:
             raise FileFormatError(f"{where}: x index {x} out of range [0, {m1})")
         if not 0 <= y < m2:
             raise FileFormatError(f"{where}: y index {y} out of range [0, {m2})")
-        if previous is not None and (x, y) <= previous:
+        rank = x * m2 + y
+        if rank <= previous:
             raise FileFormatError(f"{where}: pairs must be strictly ascending")
-        previous = (x, y)
-    return PairSet.from_pairs(p, n1, n2, [tuple(e) for e in pairs])
+        previous = rank
+        mask |= 1 << (x + m1 * y)
+    return PairSet(p, n1, n2, mask)
 
 
 def read_set(path: str) -> PairSet:
@@ -556,11 +570,10 @@ def _cmd_construct(args) -> int:
     elif args.what == "sigma-fig2":
         a = build_P_sigma(sigma_fig2())
     elif args.what == "p-sigma":
-        a = build_P_sigma(random_sigma(p, n, seed), override_cap=args.override_cap)
+        a = build_P_sigma(random_sigma(p, n, seed))
     else:  # p-xi: W = {0} inside F_p^2, the image line is the whole plane
         xi = random_sigma(p, 2, seed)
-        a = build_P_xi(Subspace.zero(p, 2), Subspace.full(p, 2), xi,
-                       override_cap=args.override_cap)
+        a = build_P_xi(Subspace.zero(p, 2), Subspace.full(p, 2), xi)
     write_document(set_document(a), args.out)
     transverse = transversality_violation(a) is None
     print(f"wrote {args.out}: p={a.p} n1={a.n1} n2={a.n2} size={a.size} "

@@ -20,7 +20,6 @@ from .fpcore import (
     Subspace,
     VecP,
     _check_table,
-    check_cap,
     encode,
     is_prime,
     proj_enumerate,
@@ -125,11 +124,12 @@ def sigma_fig2() -> ProjBijection:
     return ProjBijection.from_index_table(2, 3, 3, (1, 2, 3, 4, 6, 7, 5))
 
 
-def build_P_sigma(sigma: ProjBijection, override_cap: bool = False) -> PairSet:
+def build_P_sigma(sigma: ProjBijection) -> PairSet:
     """Span set of a projective map: {0} x V2 together with
-    Span(x) x Span(sigma([x])) for every projective class [x]."""
+    Span(x) x Span(sigma([x])) for every projective class [x].  A factor
+    past the table limit is a ValueError, raised before anything is built."""
     p, n1, n2 = sigma.p, sigma.n_dom, sigma.n_cod
-    check_cap(p ** (n1 + n2), override_cap, "pair space")
+    _check_table(p, max(n1, n2))
     cod = vspace(p, n2).class_of
     return PairSet(p, n1, n2, _sigma_mask(p, n1, n2, tuple(cod[pt.index] for pt in sigma.images)))
 
@@ -163,19 +163,15 @@ def random_sigma(p: int, n: int, seed: int) -> ProjBijection:
     return ProjBijection(p, n, n, tuple(pts[i] for i in perm))
 
 
-def build_P_xi(
-    w: Subspace,
-    l: Subspace,
-    xi_prime: ProjBijection,
-    override_cap: bool = False,
-) -> PairSet:
+def build_P_xi(w: Subspace, l: Subspace, xi_prime: ProjBijection) -> PairSet:
     """Hyperplane-fiber set driven by a bijection of projective lines.
 
     w is a codimension-2 subspace of the first factor and l a 2-dimensional
     subspace of the second.  xi_prime maps the projective line P(V1/W) --
     presented in the coordinates of the two non-pivot columns of w -- onto
     P(l).  The fiber over x in w is all of V2; over x outside w it is the
-    hyperplane orthogonal to the image of the class of x mod w.
+    hyperplane orthogonal to the image of the class of x mod w.  A factor
+    past the table limit is a ValueError, raised before anything is built.
     """
     p = xi_prime.p
     if w.p != p or l.p != p:
@@ -190,7 +186,7 @@ def build_P_xi(
         if not l.member(pt.vector()):
             raise ValueError("xi_prime image lies outside l")
     n1, n2 = w.ambient, l.ambient
-    check_cap(p ** (n1 + n2), override_cap, "pair space")
+    _check_table(p, max(n1, n2))
     cod = vspace(p, n2).class_of
     return PairSet(p, n1, n2, _xi_mask(w, n2, tuple(cod[pt.index] for pt in xi_prime.images)))
 

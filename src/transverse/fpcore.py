@@ -207,13 +207,9 @@ def rref(rows, p: int):
     where basis is a list of nonzero reduced rows (pivot entries 1, zeros
     above and below each pivot) and pivots the matching pivot column list.
 
-    At p = 2 each row is packed into an int (column j at bit j) and
-    eliminated by XOR, the word-level technique of M4RI; the pivot of a
-    packed row is its lowest set bit.  Odd p eliminates on lists.  Both
-    paths return the same canonical form.
+    One list loop serves every p: each row is reduced against the basis,
+    scaled so its pivot is 1, and then cleared from the earlier rows.
     """
-    if p == 2:
-        return _rref_gf2(rows)
     basis: list[list[int]] = []
     pivots: list[int] = []
     for r in rows:
@@ -236,22 +232,6 @@ def rref(rows, p: int):
         pivots.append(j)
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order], sorted(pivots)
-
-
-def _rref_gf2(rows):
-    """rref over F_2 on packed rows (column j at bit j)."""
-    ncols = 0
-    packed = []
-    for r in rows:
-        ncols = len(r)
-        v = 0
-        for j, c in enumerate(r):
-            if c & 1:
-                v |= 1 << j
-        packed.append(v)
-    basis = _xor_eliminate(packed)
-    pivots = sorted(basis)
-    return [[basis[j] >> k & 1 for k in range(ncols)] for j in pivots], pivots
 
 
 def _xor_eliminate(rows) -> dict[int, int]:

@@ -88,7 +88,7 @@ class SingleSet:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if not 0 <= self.indicator < 1 << self.p**self.n:
+        if self.indicator < 0 or self.indicator.bit_length() > self.p**self.n:
             raise ValueError("indicator out of range")
 
     @classmethod
@@ -196,8 +196,7 @@ class PairSet:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        total = self.p ** (self.n1 + self.n2)
-        if not 0 <= self.indicator < 1 << total:
+        if self.indicator < 0 or self.indicator.bit_length() > self.p ** (self.n1 + self.n2):
             raise ValueError("indicator out of range")
 
     # -- constructors -------------------------------------------------------

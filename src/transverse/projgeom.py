@@ -23,7 +23,7 @@ from functools import lru_cache
 from .fpcore import (
     MatP,
     ProjPoint,
-    check_cap,
+    _check_table,
     encode,
     is_prime,
     proj_enumerate,
@@ -91,9 +91,11 @@ def line_structure(p: int, n: int):
     return tuple(sorted(lines)), tuple(tuple(r) for r in span_mask)
 
 
-def lines_enumerate(p: int, n: int, override_cap: bool = False) -> list[ProjLine]:
-    """All projective lines, each with its points in ascending index order."""
-    check_cap(p**n, override_cap, "line enumeration")
+def lines_enumerate(p: int, n: int) -> list[ProjLine]:
+    """All projective lines, each with its points in ascending index order.
+    A space past the table limit is a ValueError, raised before any point
+    is listed."""
+    _check_table(p, n)
     pts = proj_enumerate(p, n)
     lines, _ = line_structure(p, n)
     return [ProjLine(p, n, tuple(pts[c] for c in ids)) for ids in lines]

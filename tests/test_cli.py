@@ -75,6 +75,48 @@ def test_set_validation_errors():
         set_from_document({"format_version": 1, "p": 2, "n1": 2, "n2": 2})
 
 
+@pytest.mark.parametrize("p,n1,n2", [(2, 1, 3), (2, 2, 2), (3, 2, 1), (3, 2, 2), (5, 1, 2)])
+def test_read_set_is_from_pairs_on_the_same_pairs(p, n1, n2, tmp_path):
+    # the reader builds the mask in its validation pass; from_pairs is the oracle
+    rng = SplitMix64(p * 100 + n1 * 10 + n2)
+    path = str(tmp_path / "s.json")
+    for k in range(40):
+        mask = 0
+        for _ in range(k % 5 and rng.below(3 * p ** (n1 + n2))):  # every fifth set is empty
+            mask |= 1 << rng.below(p ** (n1 + n2))
+        doc = set_document(PairSet(p, n1, n2, mask))
+        write_document(doc, path)
+        assert read_set(path) == PairSet.from_pairs(p, n1, n2, doc["pairs"])
+
+
+def test_json_reader_refuses_duplicate_keys_and_non_ascii(tmp_path, capsys):
+    src = str(tmp_path / "f3.json")
+    cert = str(tmp_path / "f3.cert.json")
+    assert run(["construct", "f3", "--out", src]) == 0
+    assert run(["check", "transverse", "--set", src, "--cert", cert]) == 0
+    capsys.readouterr()
+    # json alone would keep the last "pairs" and read the empty set
+    dup = tmp_path / "dup.json"
+    dup.write_text('{"format_version":1,"n1":1,"n2":1,"p":2,"pairs":[[0,0]],"pairs":[]}\n')
+    with pytest.raises(FileFormatError, match=f"{dup}: duplicate key 'pairs'"):
+        read_set(str(dup))
+    for argv, path in ((["check", "transverse", "--set"], src), (["replay", "--cert"], cert)):
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        # a key repeated at the top level, and "p" repeated where it stands,
+        # which in the certificate is inside "parameters"
+        for edited, key in ((text.replace("{", '{"format_version":1,', 1), "format_version"),
+                            (text.replace('"p":3', '"p":3,"p":3', 1), "p")):
+            dup.write_text(edited)
+            assert run(argv + [str(dup)]) == 2
+            assert f"file format error: {dup}: duplicate key {key!r}" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.replace("{", '{"note":"\u00e9",', 1).encode("utf-8"))
+        assert run(argv + [str(bad)]) == 2
+        assert (f"file format error: {bad}: not ASCII (byte 0xc3 at position 9)"
+                in capsys.readouterr().err)
+
+
 def test_certificate_digest_detects_tampering():
     cert = make_certificate("transverse_check", {"p": 2}, {"size": 3})
     assert content_digest(cert) == cert["digest"]

@@ -1,5 +1,7 @@
 """Named example sets and their seeded generators."""
 
+import inspect
+
 import pytest
 
 from transverse.constructions import (
@@ -221,3 +223,24 @@ def test_bijection_validation():
         ProjBijection.from_index_table(2, 3, 3, (0, 0, 1, 2, 3, 4, 5))  # not injective
     with pytest.raises(ValueError):
         ProjBijection.from_index_table(2, 3, 3, (1, 2, 3))  # wrong length
+
+
+@pytest.mark.parametrize("n", [13, 27])
+def test_builders_refuse_a_factor_past_the_table_limit(n):
+    # no size flag lifts the table limit, so neither builder takes one;
+    # at n = 27 the pair space is past the enumeration cap as well
+    for build in (build_P_sigma, build_P_xi):
+        assert "override_cap" not in inspect.signature(build).parameters
+    limit = rf"F_2\^{n} has {2**n} vectors, past the table limit of 4096"
+    # a line of P(F_2^n): e0, e1 and e0 + e1
+    line_map = ProjBijection.from_index_table(2, 2, n, (1, 2, 3))
+    with pytest.raises(ValueError, match=limit):
+        build_P_sigma(line_map)
+    # l past the limit: the plane spanned by e0 and e1 inside F_2^n
+    plane = Subspace.from_rows([(1, 0) + (0,) * (n - 2), (0, 1) + (0,) * (n - 2)], 2, n)
+    with pytest.raises(ValueError, match=limit):
+        build_P_xi(Subspace.zero(2, 2), plane, line_map)
+    # w past the limit: codimension 2 in F_2^n, spanned by e2 .. e(n-1)
+    w = Subspace.from_rows([tuple(int(i == j) for j in range(n)) for i in range(2, n)], 2, n)
+    with pytest.raises(ValueError, match=limit):
+        build_P_xi(w, Subspace.full(2, 2), random_sigma(2, 2, seed=1))

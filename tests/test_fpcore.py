@@ -24,6 +24,8 @@ from transverse.fpcore import (
     vspace,
 )
 
+from test_properties import reference_rref
+
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
@@ -230,9 +232,13 @@ def test_proj_point_index_is_stored():
 
 
 def test_rref_gf2_edge_cases():
-    assert rref([], 2) == ([], [])
-    assert rref([(0, 0, 0), (2, 4, 0)], 2) == ([], [])
-    assert rref([(1, 1, 0), (1, 1, 0), (3, 0, 1)], 2) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    cases = {
+        (): ([], []),
+        ((0, 0, 0), (2, 4, 0)): ([], []),
+        ((1, 1, 0), (1, 1, 0), (3, 0, 1)): ([[1, 0, 1], [0, 1, 1]], [0, 1]),
+    }
+    for rows, expected in cases.items():
+        assert rref(rows, 2) == reference_rref(rows, 2) == expected
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (7, 1), (2, 4), (3, 3)])

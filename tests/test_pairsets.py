@@ -1,5 +1,7 @@
 """Pair sets, directional sumsets, the V/H operators, and transversality."""
 
+import tracemalloc
+
 import pytest
 
 from transverse.constructions import (
@@ -42,6 +44,23 @@ def test_from_pairs_roundtrip():
     assert a.size == 3
     assert sorted(a.pair_indices()) == [(0, 0), (1, 3), (4, 4)]
     assert a.contains(4, 4) and not a.contains(4, 3)
+
+
+def test_indicator_range_is_checked_by_bit_length():
+    # the check builds no 1 << p**n: an empty set of a huge space is cheap
+    tracemalloc.start()
+    try:
+        assert PairSet(2, 14, 14, 0).size == 0  # 1 << 2**28 would take 32 MB
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert PairSet.empty(2, 20, 20).size == 0
+    assert SingleSet(2, 70, 0).size == 0
+    for make, points in ((lambda i: PairSet(3, 1, 2, i), 27), (lambda i: SingleSet(5, 2, i), 25)):
+        assert make((1 << points) - 1).size == points
+        for bad in (-1, 1 << points):  # negative, and one bit too many
+            with pytest.raises(ValueError, match="indicator out of range"):
+                make(bad)
 
 
 def test_dir_sum_explicit():

@@ -1,5 +1,10 @@
 """Projective lines, collineation recognition, and the order formulas."""
 
+import inspect
+import time
+
+import pytest
+
 from transverse.constructions import ProjBijection, sigma_fig2
 from transverse.detrng import SplitMix64
 from transverse.explorer import search_sigma
@@ -49,6 +54,18 @@ def test_line_counts():
     assert all(len(line.points) == 4 for line in lines)
     # P(F_2^4): 15 points, 35 lines
     assert len(lines_enumerate(2, 4)) == 35
+
+
+def test_lines_past_the_table_limit_are_refused_before_any_point_is_listed():
+    # no size flag lifts the table limit, so lines_enumerate takes none
+    assert "override_cap" not in inspect.signature(lines_enumerate).parameters
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"F_2\^20 has 1048576 vectors, past the table limit"):
+        lines_enumerate(2, 20)
+    assert time.perf_counter() - start < 1.0
+    # past the enumeration cap the refusal is the same ValueError
+    with pytest.raises(ValueError, match=r"F_2\^27 has 134217728 vectors, past the table limit"):
+        lines_enumerate(2, 27)
 
 
 def test_recognize_identity():

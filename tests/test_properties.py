@@ -588,8 +588,8 @@ def family_recognition_oracle(cases, seed=110):
 
 
 def family_rref_gf2(cases, seed=111):
-    """rref at p = 2 (packed rows, XOR) equals the list elimination on rows
-    with entries in [0, 5), with empty input, zero rows and duplicates."""
+    """rref at p = 2, the one loop every p runs, equals reference_rref on
+    rows with entries in [0, 5), with empty input, zero rows and duplicates."""
     rng = SplitMix64(seed)
     for k in range(cases):
         ncols = rng.below(10) + 1
