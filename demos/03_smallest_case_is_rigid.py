@@ -23,8 +23,8 @@ print("non-bilinear:         ", report.counts["transverse_non_bilinear"])
 print("family disagreements: ", report.counts["oracle_mismatch"])
 print("verdict:", "no counterexample this small" if report.ok else "BUG")
 
-# The same sweep rejects (3, 2) unless the cap is lifted explicitly: the
-# subset count 3^16 is past any reasonable budget.
+# The same sweep rejects (3, 2) unless the cap is lifted explicitly: its
+# 2^81 subsets are far past the enumeration cap of 2^26.
 try:
     exhaustive_subset_sweep(3, 2)
 except Exception as exc:

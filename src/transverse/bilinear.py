@@ -175,7 +175,7 @@ def ann(a: PairSet, w1: Subspace | None = None, w2: Subspace | None = None) -> F
             for c in range(d2)
         ]
         return FormSpace.from_matrices(a.p, d1, d2, mats)
-    _, kern, _ = rref_kernel(MatP(a.p, tuple(sorted(rows))))
+    kern = rref_kernel(MatP(a.p, tuple(sorted(rows))))
     return FormSpace(a.p, d1, d2, tuple(FormSpace._reshape(b, d2) for b in kern.basis))
 
 
@@ -321,54 +321,36 @@ def _span_ann(w1: Subspace, w2: Subspace, span: tuple) -> FormSpace:
     zero row, whose kernel is every form."""
     cols = [i * w2.ambient + j for i in w1.pivots for j in w2.pivots]
     rows = tuple(tuple(b[c] for c in cols) for b in span) or ((0,) * len(cols),)
-    _, kern, _ = rref_kernel(MatP(w1.p, rows))
+    kern = rref_kernel(MatP(w1.p, rows))
     forms = tuple(FormSpace._reshape(b, w2.dim) for b in kern.basis)
     return FormSpace(w1.p, w1.dim, w2.dim, forms)
 
 
 @dataclass(frozen=True)
-class ClosureResult:
-    """Spans of the projections, S(A) and the closure.
+class BilinearVerdict:
+    """Outcome of the bilinearity decision: the spans of the projections,
+    S(A), the closure and the verdict.
 
     span is the canonical RREF basis of S(A) = span{x (x) y : (x, y) in A},
     flattened row-major.  ann, the annihilator over w1 x w2 in their RREF
-    coordinates, is computed when read.
+    coordinates, is computed when read.  status is "bilinear",
+    "non_bilinear" or "empty".  For a non-bilinear set either
+    non_subspace_axis names the projection that is not a subspace
+    ("first"/"second"), or witness is the smallest-index pair in the closure
+    that is missing from the set (often both are available).
     """
 
     w1: Subspace
     w2: Subspace
     span: tuple
     closed: PairSet
+    status: str
+    witness: tuple[int, int] | None
+    non_subspace_axis: str | None
 
     @property
     def ann(self) -> FormSpace:
         return _span_ann(self.w1, self.w2, self.span)
-
-
-def closure(a: PairSet) -> ClosureResult:
-    """Bilinear closure: (W1 x W2) intersected with {(x, y) : x (x) y in S(A)},
-    over the spans W1, W2 of the projections.  This equals orth(ann(A)).
-
-    Extensive (A is always contained in the result, and the result always
-    contains (0,0)) and idempotent; A is bilinear iff it equals its closure
-    and its projections are subspaces.  The result is is_bilinear's verdict.
-    """
-    return _status(a.p, a.n1, a.n2, a.indicator)
-
-
-@dataclass(frozen=True)
-class BilinearVerdict(ClosureResult):
-    """Outcome of the bilinearity decision: a closure result and its verdict.
-
-    status is "bilinear", "non_bilinear" or "empty".  For a non-bilinear set
-    either non_subspace_axis names the projection that is not a subspace
-    ("first"/"second"), or witness is the smallest-index pair in the closure
-    that is missing from the set (often both are available).
-    """
-
-    status: str
-    witness: tuple[int, int] | None
-    non_subspace_axis: str | None
 
     @property
     def r1(self) -> int:
@@ -382,6 +364,21 @@ class BilinearVerdict(ClosureResult):
     def r3(self) -> int:
         """dim ann = dim W1 * dim W2 - dim S(A)."""
         return self.w1.dim * self.w2.dim - len(self.span)
+
+
+# closure() returns the same verdict as is_bilinear(); the name stays public
+ClosureResult = BilinearVerdict
+
+
+def closure(a: PairSet) -> BilinearVerdict:
+    """Bilinear closure: (W1 x W2) intersected with {(x, y) : x (x) y in S(A)},
+    over the spans W1, W2 of the projections.  This equals orth(ann(A)).
+
+    Extensive (A is always contained in the result, and the result always
+    contains (0,0)) and idempotent; A is bilinear iff it equals its closure
+    and its projections are subspaces.  The result is is_bilinear's verdict.
+    """
+    return _status(a.p, a.n1, a.n2, a.indicator)
 
 
 def _status(p: int, n1: int, n2: int, ind: int) -> BilinearVerdict:

@@ -154,27 +154,29 @@ def set_from_document(doc: dict, path: str = "<set>") -> PairSet:
         raise FileFormatError(f"{path}: dimensions must be positive")
     pairs = _expect(doc, "pairs", list, path)
     m1, m2 = p**n1, p**n2
-    mask = 0
+    # the bits are set in a bytearray and read as one int: linear in the pairs
+    bits = bytearray((m1 * m2 + 7) // 8)
     previous = -1  # pairs ascend in (x, y) exactly when their ranks x * m2 + y do
     for position, entry in enumerate(pairs):
-        where = f"{path}: pairs[{position}]"
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in entry)
+            or type(entry[0]) is bool or not isinstance(entry[0], int)
+            or type(entry[1]) is bool or not isinstance(entry[1], int)
         ):
-            raise FileFormatError(f"{where}: expected a pair of integers")
+            raise FileFormatError(f"{path}: pairs[{position}]: expected a pair of integers")
         x, y = entry
         if not 0 <= x < m1:
-            raise FileFormatError(f"{where}: x index {x} out of range [0, {m1})")
+            raise FileFormatError(f"{path}: pairs[{position}]: x index {x} out of range [0, {m1})")
         if not 0 <= y < m2:
-            raise FileFormatError(f"{where}: y index {y} out of range [0, {m2})")
+            raise FileFormatError(f"{path}: pairs[{position}]: y index {y} out of range [0, {m2})")
         rank = x * m2 + y
         if rank <= previous:
-            raise FileFormatError(f"{where}: pairs must be strictly ascending")
+            raise FileFormatError(f"{path}: pairs[{position}]: pairs must be strictly ascending")
         previous = rank
-        mask |= 1 << (x + m1 * y)
-    return PairSet(p, n1, n2, mask)
+        i = x + m1 * y
+        bits[i >> 3] |= 1 << (i & 7)
+    return PairSet(p, n1, n2, int.from_bytes(bits, "little"))
 
 
 def read_set(path: str) -> PairSet:

@@ -40,7 +40,6 @@ from .constructions import _sigma_mask, _xi_mask
 from .counting import proj_count
 from .detrng import _GAMMA, SplitMix64, exchange_shuffle
 from .fpcore import (
-    CapExceeded,
     Subspace,
     _check_table,
     _kernel_rows,
@@ -252,10 +251,10 @@ def _subspaces_over(p: int, n: int, mask: int) -> tuple:
 
 
 def _subset_range(args: tuple, lo: int, hi: int):
-    """Both verdicts for each subset mask in [lo, hi): bilinearity
-    (cross-checked against the family) on every mask and, for a nonempty
-    subset, transversality.  The masks run in blocks of 2^(p^n) that share
-    the rows y >= 1 (mask >> p^n), and each block is decided in one step.
+    """Both verdicts for each subset mask of the blocks [lo, hi):
+    bilinearity (cross-checked against the family) on every mask and, for a
+    nonempty subset, transversality.  Block `top` holds the 2^(p^n) masks
+    top << p^n | r0 that share the rows y >= 1, and is decided in one step.
 
     The block reads those rows once: pi1, pi2 and the span masks of the
     class unions; row 0 joins no class union, since y = 0 lies in no
@@ -277,8 +276,8 @@ def _subset_range(args: tuple, lo: int, hi: int):
     In a nonempty transverse set each nonempty vertical fiber is closed under
     addition, so it holds 0, and row 0, {x : (x, 0) in A}, equals pi1(A);
     row 0 is closed under horizontal sums, so it is a subspace W containing
-    pi1.  So the same masks base | W carry both verdicts: each W in the
-    window gets one fiberwise read, and no other mask is transverse."""
+    pi1.  So the same masks base | W carry both verdicts: each W gets one
+    fiberwise read, and no other mask but 0, the empty set, is transverse."""
     p, n = args
     m1 = p**n
     low = (1 << m1) - 1
@@ -287,9 +286,8 @@ def _subset_range(args: tuple, lo: int, hi: int):
         family[f >> m1] = family.get(f >> m1, 0) | 1 << (f & low)
     bilinear = mismatch = transverse = transverse_bilinear = 0
     witnesses = []
-    for top in range(lo >> m1, ((hi - 1) >> m1) + 1):
+    for top in range(lo, hi):
         base = top << m1
-        r_lo, r_hi = max(lo - base, 0), min(hi - base, low + 1)
         pi1, pi2, unions = _fiber_read(p, n, n, base)
         _, zero = _span_zero(p, n, n, tuple(_span_mask(p, n, u) for u in unions))
         col = _fiber_cell(p, n, n, -1, _span_mask(p, n, pi2 | 1))
@@ -299,8 +297,6 @@ def _subset_range(args: tuple, lo: int, hi: int):
             closed = zero & w * col
             if (base | w) & ~closed:
                 raise AssertionError("closure is not extensive; this is a bug")
-            if not r_lo <= w < r_hi:
-                continue
             verdict |= (closed == base | w) << w
             if _fiber_map_read(p, n, n, base | w)[0] is None:
                 transverse += 1
@@ -308,7 +304,7 @@ def _subset_range(args: tuple, lo: int, hi: int):
                     transverse_bilinear += 1
                 else:
                     odd.append(w)
-        miss = (verdict ^ family.get(top, 0)) & ((1 << r_hi) - (1 << r_lo))
+        miss = verdict ^ family.get(top, 0)
         bilinear += verdict.bit_count()
         mismatch += miss.bit_count()
         if (miss or odd) and len(witnesses) < 8:
@@ -317,9 +313,9 @@ def _subset_range(args: tuple, lo: int, hi: int):
             witnesses.extend([("oracle_mismatch", "transverse_non_bilinear")[k], base | r0]
                              for r0, k in found[:8 - len(witnesses)])
     counts = {
-        "subsets": hi - lo,
+        "subsets": (hi - lo) << m1,
         "transverse_nonempty": transverse,
-        "transverse_empty": int(lo <= 0 < hi),
+        "transverse_empty": int(lo == 0),
         "transverse_bilinear": transverse_bilinear,
         "transverse_non_bilinear": transverse - transverse_bilinear,
         "bilinear_sets": bilinear,
@@ -336,18 +332,16 @@ def exhaustive_subset_sweep(
     membership in the enumerated bilinear family, and a transversality
     verdict; every nonempty transverse subset must be bilinear.  Both are
     decided a block of masks at a time, on the masks whose row 0 is a
-    subspace containing the other rows (see _subset_range).
-    Only pair spaces of at most 16 points are powerset-enumerable without
-    override_cap; larger parameters go through classify_hyperplane_fibers."""
+    subspace containing the other rows (see _subset_range).  The ranks are
+    the 2^(p^n (p^n - 1)) blocks, and the budget is the enumeration cap on
+    the 2^(p^2n) subsets: (2,2), (3,1) and (5,1) run without override_cap;
+    larger parameters go through classify_hyperplane_fibers."""
     _check_sizes(p, n)
-    bits = p ** (2 * n)
-    if bits > 16 and not override_cap:
-        raise CapExceeded(
-            f"powerset sweep needs p^2n <= 16 pair-space points, got {bits}; "
-            "pass override_cap=True to force"
-        )
+    m1 = p**n
+    check_cap(2, override_cap, "powerset sweep", exp=m1 * m1)
     return _sweep(
-        "exhaustive_subset_sweep", {"p": p, "n": n}, _subset_range, (p, n), 1 << bits, jobs,
+        "exhaustive_subset_sweep", {"p": p, "n": n}, _subset_range, (p, n), 1 << m1 * (m1 - 1),
+        jobs,
         lambda c: c["transverse_non_bilinear"] == 0 and c["oracle_mismatch"] == 0,
     )
 

@@ -365,8 +365,7 @@ def span(vectors, p: int | None = None, ambient: int | None = None) -> Subspace:
 
 def complement(phi: VecP) -> Subspace:
     """The hyperplane {y : y . phi = 0}, or the full space when phi = 0."""
-    _, kern, _ = rref_kernel(MatP(phi.p, (phi.coords,)))
-    return kern
+    return rref_kernel(MatP(phi.p, (phi.coords,)))
 
 
 def _kernel_rows(basis, ncols: int, p: int) -> list[tuple[int, ...]]:
@@ -386,12 +385,10 @@ def _kernel_rows(basis, ncols: int, p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def rref_kernel(m: MatP):
-    """Row space, kernel and rank of a matrix, all with canonical RREF bases."""
+def rref_kernel(m: MatP) -> Subspace:
+    """The kernel of a matrix, with a canonical RREF basis."""
     reduced, _ = rref(m.entries, m.p)
-    row_space = Subspace(m.p, m.ncols, tuple(tuple(r) for r in reduced))
-    kernel = Subspace.from_rows(_kernel_rows(reduced, m.ncols, m.p), m.p, m.ncols)
-    return row_space, kernel, len(reduced)
+    return Subspace.from_rows(_kernel_rows(reduced, m.ncols, m.p), m.p, m.ncols)
 
 
 def all_subspaces(p: int, n: int, dim: int | None = None, override_cap: bool = False):
@@ -469,10 +466,12 @@ class ProjPoint:
         return VecP(self.p, self.rep)
 
 
-def proj_enumerate(p: int, n: int, override_cap: bool = False) -> list[ProjPoint]:
-    """All points of P(F_p^n) in ascending order of their encoded index."""
+def proj_enumerate(p: int, n: int) -> list[ProjPoint]:
+    """All points of P(F_p^n) in ascending order of their encoded index.
+    A space past the table limit is a ValueError, raised before any point
+    is listed."""
+    _check_table(p, n)
     _require_prime(p)
-    check_cap(p**n, override_cap, f"enumerating P(F_{p}^{n})")
     pts = []
     for idx in range(1, p**n):
         rep = decode(idx, p, n)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .fpcore import (
     Subspace,
-    check_cap,
+    _check_table,
     decode,
     is_prime,
     span,
@@ -201,15 +201,18 @@ class PairSet:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def from_pairs(cls, p: int, n1: int, n2: int, pairs, override_cap: bool = False) -> "PairSet":
-        check_cap(p ** (n1 + n2), override_cap, "pair space")
+    def from_pairs(cls, p: int, n1: int, n2: int, pairs) -> "PairSet":
+        """The set of the given (x, y) index pairs.  The bits are set in a
+        bytearray and read as one int, so the cost is linear in the pairs."""
+        _check_table(p, max(n1, n2))
         m1, m2 = p**n1, p**n2
-        mask = 0
+        bits = bytearray((m1 * m2 + 7) // 8)
         for xi, yi in pairs:
             if not (0 <= xi < m1 and 0 <= yi < m2):
                 raise ValueError(f"pair index ({xi}, {yi}) out of range")
-            mask |= 1 << (xi + m1 * yi)
-        return cls(p, n1, n2, mask)
+            i = xi + m1 * yi
+            bits[i >> 3] |= 1 << (i & 7)
+        return cls(p, n1, n2, int.from_bytes(bits, "little"))
 
     @classmethod
     def empty(cls, p: int, n1: int, n2: int) -> "PairSet":
@@ -508,15 +511,14 @@ def to_fiber_map(a: PairSet) -> tuple[int, list[int]]:
     return fmap
 
 
-def from_fiber_map(p: int, n1: int, n2: int, f0: int, fibers,
-                   override_cap: bool = False) -> PairSet:
+def from_fiber_map(p: int, n1: int, n2: int, f0: int, fibers) -> PairSet:
     """Realize a fiber map, in the form to_fiber_map returns, as a PairSet.
     There must be one fiber per projective class, each inside f0, and f0
     and every nonzero fiber must be subspaces (as bitsets over y); otherwise
     ValueError.  The result always satisfies the subspace-fiber and
     class-constancy conditions but need not be transverse: the line
     condition is the caller's concern."""
-    check_cap(p ** (n1 + n2), override_cap, "pair space")
+    _check_table(p, max(n1, n2))
     k = len(vspace(p, n1).proj_reps)
     if len(fibers) != k:
         raise ValueError(f"need one fiber per projective class ({k}), got {len(fibers)}")

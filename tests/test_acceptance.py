@@ -167,11 +167,11 @@ def test_criterion_8_property_suite():
 
 def test_criterion_9_parallel_determinism(tmp_path):
     """--jobs 1, 3 and 8 write byte-identical certificates with equal
-    digests for a parallel sweep.  Ranges follow the workers started, so
-    the split depends on the host's CPU count; the split inside a block of
-    16 masks is covered by test_explorer.py's
-    test_powerset_split_inside_a_block_matches_the_golden_payload, which
-    pins the CPU count to 3."""
+    digests for a parallel sweep.  Ranges of blocks of 16 masks follow the
+    workers started, so the split depends on the host's CPU count; the
+    uneven split of the 4,096 blocks in three is covered by test_explorer.py's
+    test_powerset_split_in_three_matches_the_golden_payload, which pins the
+    CPU count to 3."""
     one = str(tmp_path / "jobs1.json")
     base = ["verify", "exhaustive", "--p", "2", "--n", "2"]
     assert run(["--jobs", "1"] + base + ["--cert", one]) == 0

@@ -89,6 +89,15 @@ def test_read_set_is_from_pairs_on_the_same_pairs(p, n1, n2, tmp_path):
         assert read_set(path) == PairSet.from_pairs(p, n1, n2, doc["pairs"])
 
 
+def test_a_full_document_reads_as_the_full_set():
+    # 262,144 pairs: the reader and from_pairs set the bits of the indicator
+    # in a bytearray and read it as one int
+    full = PairSet.full(2, 9, 9)
+    doc = set_document(full)
+    assert set_from_document(doc) == full
+    assert PairSet.from_pairs(2, 9, 9, doc["pairs"]) == full
+
+
 def test_json_reader_refuses_duplicate_keys_and_non_ascii(tmp_path, capsys):
     src = str(tmp_path / "f3.json")
     cert = str(tmp_path / "f3.cert.json")
@@ -138,6 +147,38 @@ def test_cli_construct_and_check(tmp_path):
     assert doc["kind"] == "non_bilinear"
     assert doc["payload"]["r3"] == 1
     assert doc["payload"]["witness"] == [4, 4]
+
+
+def test_check_ann_closure_and_transversality_certificates(tmp_path, capsys):
+    # check ann and check closure report on the set and exit 0, whatever
+    # its verdict
+    src = str(tmp_path / "f3.json")
+    assert run(["construct", "f3", "--out", src]) == 0
+    capsys.readouterr()
+    assert run(["check", "ann", "--set", src]) == 0
+    assert capsys.readouterr().out == ("annihilator dimension 1 over the full ambient; "
+                                       "1 over the projection spans\n  [[1, 0], [0, 2]]\n")
+    assert run(["check", "closure", "--set", src]) == 0
+    assert capsys.readouterr().out == "closure size 33 over spans of dims 2 x 2; closed=False\n"
+    # a transverse set and one whose fiber over 1 is not inside the fiber
+    # over 0: check transverse names the violation, and replay re-derives
+    # either certificate and refuses an edited one
+    bad = str(tmp_path / "bad.json")
+    write_document({"format_version": 1, "p": 2, "n1": 1, "n2": 1, "pairs": [[1, 0]]}, bad)
+    violation = "violation: vertical fiber not contained in the fiber over 0 at pair [1, 0]\n"
+    for path, code, shown in ((src, 0, "size=29 transverse=yes\ncert"),
+                              (bad, 1, "size=1 transverse=no\n" + violation)):
+        cert = str(tmp_path / "cert.json")
+        assert run(["check", "transverse", "--set", path, "--cert", cert]) == code
+        assert capsys.readouterr().out.startswith(shown)
+        assert run(["replay", "--cert", cert]) == 0
+        assert "VERIFIED replay of transverse_check" in capsys.readouterr().out
+        doc = read_certificate(cert)
+        doc["payload"]["transverse"] = not doc["payload"]["transverse"]
+        doc["digest"] = content_digest(doc)
+        write_document(doc, cert)
+        assert run(["replay", "--cert", cert]) == 1
+        assert "FAILED replay of transverse_check" in capsys.readouterr().out
 
 
 def test_cli_phi_roundtrip(tmp_path):

@@ -22,7 +22,7 @@ from transverse.fpcore import (
     complement,
     proj_enumerate,
 )
-from transverse.pairsets import is_transverse
+from transverse.pairsets import PairSet, from_fiber_map, is_transverse
 from transverse.projgeom import recognize_projective
 
 
@@ -227,11 +227,17 @@ def test_bijection_validation():
 
 @pytest.mark.parametrize("n", [13, 27])
 def test_builders_refuse_a_factor_past_the_table_limit(n):
-    # no size flag lifts the table limit, so neither builder takes one;
-    # at n = 27 the pair space is past the enumeration cap as well
-    for build in (build_P_sigma, build_P_xi):
+    # no size flag lifts the table limit, so no builder takes one; at n = 27
+    # the pair space is past the enumeration cap as well
+    for build in (build_P_sigma, build_P_xi, PairSet.from_pairs, from_fiber_map):
         assert "override_cap" not in inspect.signature(build).parameters
     limit = rf"F_2\^{n} has {2**n} vectors, past the table limit of 4096"
+    # either factor of the pair space, with the pairs and fibers unread
+    for n1, n2 in ((n, 1), (1, n)):
+        with pytest.raises(ValueError, match=limit):
+            PairSet.from_pairs(2, n1, n2, [(0, 0)])
+        with pytest.raises(ValueError, match=limit):
+            from_fiber_map(2, n1, n2, 1, [])
     # a line of P(F_2^n): e0, e1 and e0 + e1
     line_map = ProjBijection.from_index_table(2, 2, n, (1, 2, 3))
     with pytest.raises(ValueError, match=limit):

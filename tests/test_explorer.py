@@ -16,7 +16,6 @@ from transverse.bilinear import is_bilinear, orth
 from transverse.counting import proj_count
 from transverse.detrng import SplitMix64
 from transverse.explorer import (
-    CapExceeded,
     bogolyubov_explore,
     classify_hyperplane_fibers,
     exhaustive_subset_sweep,
@@ -28,7 +27,7 @@ from transverse.explorer import (
     verify_collineation_lemma,
     xi_line_sweep,
 )
-from transverse.fpcore import all_subspaces, decode
+from transverse.fpcore import CapExceeded, all_subspaces, decode
 from transverse.pairsets import PairSet, SingleSet, phi, sumset_word, transversality_violation
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -87,10 +86,17 @@ def test_exhaustive_sweep_p2_n2():
 
 
 def test_exhaustive_sweep_cap(monkeypatch):
-    with pytest.raises(CapExceeded):
+    # the budget is the enumeration cap on the 2^(p^2n) subsets, refused
+    # with the cap's own message before the engine is reached
+    monkeypatch.setattr(explorer, "_map_ranges", None)
+    with pytest.raises(CapExceeded, match=r"^powerset sweep would materialize at least 2\*\*81 "
+                       r"objects \(cap 67108864\); pass override_cap=True to force$"):
         exhaustive_subset_sweep(3, 2)
-    # override_cap lifts the powerset limit: the sweep reaches the engine,
-    # stubbed here so that none of the 2^81 subsets is visited
+    with pytest.raises(CapExceeded, match=f"^powerset sweep would materialize {2**64} objects"):
+        exhaustive_subset_sweep(2, 3)
+    # the engine, stubbed here so that no block is visited, gets one rank
+    # per block of 2^(p^n) masks: (5,1) lies inside the cap with its 2^25
+    # subsets in 2^20 blocks, and override_cap lifts the cap at (3,2)
     calls = []
 
     def stub(worker, args, total, workers):
@@ -99,8 +105,10 @@ def test_exhaustive_sweep_cap(monkeypatch):
 
     monkeypatch.setattr(explorer, "_map_ranges", stub)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
+    assert exhaustive_subset_sweep(5, 1, jobs=2).ok
     report = exhaustive_subset_sweep(3, 2, jobs=2, override_cap=True)
-    assert calls == [(explorer._subset_range, (3, 2), 1 << 81, 2)]
+    assert calls == [(explorer._subset_range, (5, 1), 1 << 20, 2),
+                     (explorer._subset_range, (3, 2), 1 << 72, 2)]
     assert report.ok and report.parameters == {"p": 3, "n": 2}
 
 
@@ -142,34 +150,43 @@ def reference_subset_range(args, lo, hi):
     return counts, witnesses
 
 
+def reference_blocks(p, n, lo, hi):
+    """reference_subset_range on the masks of the blocks [lo, hi), each
+    block the 2^(p^n) masks that share the rows y >= 1."""
+    m1 = p**n
+    return reference_subset_range((p, n), lo << m1, hi << m1)
+
+
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2)])
 def test_subset_range_matches_the_per_set_reference(p, n):
-    total = 1 << p ** (2 * n)
-    fast = explorer._subset_range((p, n), 0, total)
-    assert fast == reference_subset_range((p, n), 0, total)
+    blocks = 1 << p**n * (p**n - 1)
+    fast = explorer._subset_range((p, n), 0, blocks)
+    assert fast == reference_blocks(p, n, 0, blocks)
+    assert fast[0]["subsets"] == 1 << p ** (2 * n)
     assert fast[0]["oracle_mismatch"] == 0 and fast[0]["transverse_nonempty"] > 0
 
 
 def test_subset_range_splits_and_witnesses_match_the_reference(monkeypatch):
-    # whole blocks of 16 masks, then ranges that start or end inside one
-    for lo, hi in ((0, 4096), (4096, 30000), (30000, 65536), (5, 37), (30001, 30017),
-                   (65530, 65536), (0, 1), (15, 16), (16, 17), (30000, 30001), (65535, 65536)):
-        assert explorer._subset_range((2, 2), lo, hi) == reference_subset_range((2, 2), lo, hi)
+    # the 4,096 blocks of 16 masks in three ranges, then single blocks at
+    # either end and inside
+    for lo, hi in ((0, 256), (256, 1875), (1875, 4096), (0, 1), (1, 2), (277, 278),
+                   (1875, 1876), (4095, 4096)):
+        assert explorer._subset_range((2, 2), lo, hi) == reference_blocks(2, 2, lo, hi)
     # an empty family makes every bilinear set a mismatch witness
     monkeypatch.setattr(explorer, "_bilinear_family", lambda p, n: frozenset())
-    fast = explorer._subset_range((2, 2), 0, 65536)
-    assert fast == reference_subset_range((2, 2), 0, 65536)
+    fast = explorer._subset_range((2, 2), 0, 4096)
+    assert fast == reference_blocks(2, 2, 0, 4096)
     assert fast[0]["oracle_mismatch"] == 107 and len(fast[1]) == 8
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 1)])
-def test_every_window_of_eleven_masks_matches_the_reference(p, n):
-    # _subset_range reads each block of 2^(p^n) masks once; windows of 11
-    # start and end at every offset within a block
-    total = 1 << p ** (2 * n)
-    for lo in range(total - 10):
-        hi = lo + 11
-        assert explorer._subset_range((p, n), lo, hi) == reference_subset_range((p, n), lo, hi)
+def test_every_window_of_up_to_three_blocks_matches_the_reference(p, n):
+    # _subset_range reads each block of 2^(p^n) masks once; windows of one,
+    # two and three blocks start and end at every block boundary
+    blocks = 1 << p**n * (p**n - 1)
+    for lo in range(blocks):
+        for hi in range(lo + 1, min(lo + 3, blocks) + 1):
+            assert explorer._subset_range((p, n), lo, hi) == reference_blocks(p, n, lo, hi)
 
 
 def reference_bilinear_family(p, n):
@@ -288,7 +305,7 @@ def test_powerset_reads_fibers_only_past_the_row_test(monkeypatch):
             return inner(*args)
 
         monkeypatch.setattr(explorer, name, counted)
-    counts, _ = explorer._subset_range((2, 2), 0, 65536)
+    counts, _ = explorer._subset_range((2, 2), 0, 4096)
     assert counts["transverse_nonempty"] == 107
     # one read of rows 1-3 and one lookup of S(A) and its zero set per block
     # of 16 masks; one fiberwise read per subspace W of F_2^2 that contains
@@ -316,9 +333,9 @@ def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
     assert is_bilinear(PairSet(2, 2, 2, added)).status != "bilinear"
     monkeypatch.setattr(explorer, "_bilinear_family",
                         lambda p, n: family - {removed} | {added})
-    for lo, hi in ((0, 65536), (4432, 4448), (4433, 4438), (4434, 4448), (4430, 4436),
-                   (4437, 4438), (4432, 4437), (4420, 5000), (0, 4434)):
-        assert explorer._subset_range((2, 2), lo, hi) == reference_subset_range((2, 2), lo, hi)
+    for lo, hi in ((0, 4096), (277, 278), (276, 278), (277, 279), (276, 313), (0, 277),
+                   (0, 278), (278, 4096)):
+        assert explorer._subset_range((2, 2), lo, hi) == reference_blocks(2, 2, lo, hi)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
     reports = [exhaustive_subset_sweep(2, 2, jobs=jobs) for jobs in (1, 2, 4)]
     assert [r.workers for r in reports] == [1, 2, 4]
@@ -348,10 +365,10 @@ def test_a_mask_gives_its_mismatch_before_its_transversality(monkeypatch):
     # set grown by the pair (2, 2) makes the transverse bilinear masks 4437
     # and 4447 non-bilinear: each gives a mismatch against the family and a
     # transverse non-bilinear set, in that order (block 276 has no bilinear
-    # mask, as its row 1 misses 0)
+    # mask, as its row 1 misses 0, and block 278 has other spans)
     _edit_zero_sets(monkeypatch, lambda spans, z: z | 1 << 10 if spans == (5, 1, 1) else z)
-    fast = explorer._subset_range((2, 2), 4420, 4460)
-    assert fast == reference_subset_range((2, 2), 4420, 4460)
+    fast = explorer._subset_range((2, 2), 276, 279)
+    assert fast == reference_blocks(2, 2, 276, 279)
     assert fast[1] == [["oracle_mismatch", 4437], ["transverse_non_bilinear", 4437],
                        ["oracle_mismatch", 4447], ["transverse_non_bilinear", 4447]]
     assert fast[0]["transverse_non_bilinear"] == fast[0]["oracle_mismatch"] == 2
@@ -362,13 +379,9 @@ def test_a_closure_that_is_not_extensive_raises(monkeypatch):
     # nonempty mask lies in its own
     _edit_zero_sets(monkeypatch, lambda spans, z: z & ~1)
     with pytest.raises(AssertionError, match="not extensive"):
-        explorer._subset_range((2, 2), 4432, 4448)
+        explorer._subset_range((2, 2), 277, 278)
     with pytest.raises(AssertionError, match="not extensive"):
         is_bilinear(PairSet(2, 2, 2, 4437))
-    # row 0 = {1} is no subspace, so no W lies in this window; the closures
-    # of the block are checked all the same
-    with pytest.raises(AssertionError, match="not extensive"):
-        explorer._subset_range((2, 2), 4434, 4435)
 
 
 def test_bilinear_family_keeps_the_shape_the_benchmark_reads():
@@ -587,14 +600,14 @@ def test_process_count_is_bounded(monkeypatch):
     assert started == [3, 2, 2]
 
 
-def test_powerset_split_inside_a_block_matches_the_golden_payload(monkeypatch):
-    # three workers cut the (2,2) powerset inside blocks of 16 masks
+def test_powerset_split_in_three_matches_the_golden_payload(monkeypatch):
+    # three workers split the 4,096 blocks of the (2,2) powerset unevenly
     started, submitted = [], []
     monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
     report = exhaustive_subset_sweep(2, 2, jobs=8)
     assert started == [3]
-    assert submitted == [(0, 21846), (21846, 43691), (43691, 65536)]
+    assert submitted == [(0, 1366), (1366, 2731), (2731, 4096)]
     with open(GOLDEN / "exhaustive_p2_n2.json") as fh:
         assert report.canonical()["payload"] == json.load(fh)["payload"]
 

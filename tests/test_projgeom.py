@@ -57,15 +57,18 @@ def test_line_counts():
 
 
 def test_lines_past_the_table_limit_are_refused_before_any_point_is_listed():
-    # no size flag lifts the table limit, so lines_enumerate takes none
-    assert "override_cap" not in inspect.signature(lines_enumerate).parameters
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"F_2\^20 has 1048576 vectors, past the table limit"):
-        lines_enumerate(2, 20)
-    assert time.perf_counter() - start < 1.0
-    # past the enumeration cap the refusal is the same ValueError
-    with pytest.raises(ValueError, match=r"F_2\^27 has 134217728 vectors, past the table limit"):
-        lines_enumerate(2, 27)
+    # no size flag lifts the table limit, so neither lines_enumerate nor
+    # proj_enumerate takes one
+    for enumerate_ in (lines_enumerate, proj_enumerate):
+        assert "override_cap" not in inspect.signature(enumerate_).parameters
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"F_2\^20 has 1048576 vectors, past the table limit"):
+            enumerate_(2, 20)
+        assert time.perf_counter() - start < 1.0
+        # past the enumeration cap the refusal is the same ValueError
+        with pytest.raises(ValueError,
+                           match=r"F_2\^27 has 134217728 vectors, past the table limit"):
+            enumerate_(2, 27)
 
 
 def test_recognize_identity():
