@@ -32,6 +32,7 @@ from functools import lru_cache
 from .fpcore import (
     Subspace,
     _check_table,
+    _require_prime,
     decode,
     is_prime,
     span,
@@ -205,6 +206,7 @@ class PairSet:
         """The set of the given (x, y) index pairs.  The bits are set in a
         bytearray and read as one int, so the cost is linear in the pairs."""
         _check_table(p, max(n1, n2))
+        _require_prime(p)
         m1, m2 = p**n1, p**n2
         bits = bytearray((m1 * m2 + 7) // 8)
         for xi, yi in pairs:

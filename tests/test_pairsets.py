@@ -44,6 +44,10 @@ def test_from_pairs_roundtrip():
     assert a.size == 3
     assert sorted(a.pair_indices()) == [(0, 0), (1, 3), (4, 4)]
     assert a.contains(4, 4) and not a.contains(4, 3)
+    # p is checked before the bit buffer is sized from p**n1 * p**n2
+    for p in (-3, 4):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            PairSet.from_pairs(p, 1, 2, [])
 
 
 def test_indicator_range_is_checked_by_bit_length():
