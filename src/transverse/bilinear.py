@@ -9,28 +9,34 @@ joint zero set of its annihilator over the spans W1, W2 of the projections.
 A form vanishes on A exactly when it vanishes on the span of outer products
 S(A) = span{x (x) y : (x, y) in A}, so that zero set is
 (W1 x W2) intersected with {(x, y) : x (x) y in S(A)}, and dim ann = dim W1 *
-dim W2 - dim S(A).  The decision is made one way, on the indicator int, by
-_status(p, n1, n2, ind), which returns the verdict: is_bilinear and closure
-both return it, and the classification, sigma and xi sweeps call it on each
-candidate mask.  The powerset sweep makes the same decision for a whole
-block of masks that share the rows y >= 1, with one _span_zero lookup per
-block (explorer._subset_range).  The read goes once through the
-horizontal fibers A^y = {x : (x, y) in A}: pi1 is the union of the fibers,
-pi2 the set of y with a nonempty fiber, and for y = lam * rep_c,
-x (x) y = lam * (x (x) rep_c), so
+dim W2 - dim S(A).  The decision has one tail, _decide, which takes the
+indicator, the projections and Z = {(x, y) : x (x) y in S(A)} and gives the
+closure, the status, the witness and the axis.  S(A) and Z are built two
+ways.  _status(p, n1, n2, ind), the verdict of is_bilinear and closure,
+reads a set once through its horizontal fibers A^y = {x : (x, y) in A}: pi1
+is the union of the fibers, pi2 the set of y with a nonempty fiber, and for
+y = lam * rep_c, x (x) y = lam * (x (x) rep_c), so
 
     S(A) = sum over the projective classes c of F_p^{n2} of span(U_c) (x) rep_c,
 
-with U_c the union of the fibers over the members of c.  S(A) and its zero
-set Z = {(x, y) : x (x) y in S(A)}, cut out by the kernel rows of S(A)
-(fpcore._kernel_rows; packed at p = 2), therefore depend only on the span
-masks of the U_c, and the one memo of them (_span_zero) is keyed on (p, n1,
-n2, tuple of those masks).  The closure is Z ANDed with the box W1 x W2,
-which is w1 times the {0} x W2 cell.  Every key is made of ints.  The
-annihilator itself is certificate content only: the ``ann`` attribute of a
-result is the kernel of S(A) in the coordinates of W1 and W2, computed from
-(W1, W2, S(A)) when read.  ann and orth stay public and are the reference
-route the tests check the fast one against.
+with U_c the union of the fibers over the members of c.  S(A) and Z, cut
+out by the check forms of S(A) (fpcore._kernel_rows; packed at p = 2),
+therefore depend only on the span masks of the U_c, and the one memo of
+them (_span_zero) is keyed on (p, n1, n2, tuple of those masks).  The
+powerset sweep makes the same decision for a whole block of masks that
+share the rows y >= 1, with one _span_zero lookup per block
+(explorer._subset_range).  The sweeps whose leaves are fiber maps (sigma,
+xi, classification) build S(A) the other way, from the vertical fibers:
+S(A) = sum over the classes c of F_p^{n1} of rep_c (x) span(F_c), extended
+class by class along the enumeration and shared by every leaf with the
+same prefix of fibers (_FiberKernel).  Both give the same canonical RREF
+basis, and _status stays the oracle the kernel is tested against.  The
+closure is Z ANDed with the box W1 x W2, which is w1 times the {0} x W2
+cell.  Every key is made of ints.  The annihilator itself is certificate
+content only: the ``ann`` attribute of a result is the kernel of S(A) in
+the coordinates of W1 and W2, computed from (W1, W2, S(A)) when read.  ann
+and orth stay public and are the reference route the tests check the fast
+one against.
 
 Annihilator form spaces are stored in the coordinates of the two reference
 subspaces: a form is a (dim w1) x (dim w2) matrix evaluated on RREF
@@ -48,6 +54,7 @@ from .fpcore import (
     MatP,
     Subspace,
     _kernel_rows,
+    _rref_extend,
     _xor_eliminate,
     encode,
     is_prime,
@@ -261,34 +268,57 @@ def _basis_indices(p: int, n: int, mask: int) -> tuple:
 
 def _span_gf2(n1: int, n2: int, spans: tuple) -> tuple[list, list]:
     """S(A) at p = 2, packed from outer product to check forms: the rows
-    x (x) rep_c for the basis rows x of each span(U_c) are XOR-eliminated,
-    and each free column f gives the check form e_f plus e_j for every
-    pivot j whose row has bit f (over F_2, -b = b).  Returns the reduced
-    basis rows in pivot order and the check forms in column order."""
+    x (x) rep_c for the basis rows x of each span(U_c) are XOR-eliminated
+    (_xor_eliminate), and _gf2_checks reads the check forms off the reduced
+    basis.  Returns the reduced basis rows in pivot order and the check
+    forms in column order."""
     outer = _outer_bits(n1, n2)
     basis = _xor_eliminate(
         outer[x][rep]
         for s, rep in zip(spans, vspace(2, n2).proj_reps) if s
         for x in _basis_indices(2, n1, s)
     )
-    pivots = sorted(basis)
-    rows = [basis[j] for j in pivots]
+    return [basis[j] for j in sorted(basis)], _gf2_checks(basis, n1 * n2)
+
+
+def _gf2_checks(basis: dict, width: int) -> list:
+    """The check forms of a packed reduced echelon basis {pivot: row} over
+    F_2, packed, in column order: each free column f gives e_f plus e_j for
+    every pivot j whose row has bit f (over F_2, -b = b)."""
     checks = []
-    for f in range(n1 * n2):
+    for f in range(width):
         if f in basis:
             continue
         h = 1 << f
-        for j, b in zip(pivots, rows):
+        for j, b in basis.items():
             if b >> f & 1:
                 h |= 1 << j
         checks.append(h)
-    return rows, checks
+    return checks
 
 
 @lru_cache(maxsize=4096)
 def _unpack(v: int, width: int) -> tuple:
     """A packed F_2 row as its entry tuple."""
     return tuple(v >> k & 1 for k in range(width))
+
+
+def _zero_set(p: int, n1: int, n2: int, forms) -> int:
+    """Indicator of the joint zero set over all pairs of the given forms,
+    each flattened row-major."""
+    zero = (1 << p ** (n1 + n2)) - 1
+    for h in forms:
+        zero &= _form_zero_mask(p, n1, n2, h)
+    return zero
+
+
+@lru_cache(maxsize=4096)
+def _basis_zero(p: int, n1: int, n2: int, span: tuple) -> tuple[tuple, int]:
+    """The check forms of S(A) (_kernel_rows) and their joint zero set Z,
+    from the canonical RREF basis of S(A) at odd p.  Keyed on the basis, so
+    the fiber-map leaves that share an S(A) share one entry."""
+    forms = tuple(_kernel_rows(span, n1 * n2, p))
+    return forms, _zero_set(p, n1, n2, forms)
 
 
 @lru_cache(maxsize=4096)
@@ -298,18 +328,14 @@ def _span_zero(p: int, n1: int, n2: int, spans: tuple) -> tuple[tuple, int]:
     indicator of Z = {(x, y) : x (x) y in S(A)}, the joint zero set of the
     check forms of S(A) over all pairs.  At p = 2, S(A) and its check forms
     stay packed (_span_gf2) and only the basis is unpacked; odd p works on
-    lists (_fiber_span, _kernel_rows)."""
+    lists (_fiber_span, _basis_zero)."""
     if p == 2:
         rows, checks = _span_gf2(n1, n2, spans)
-        span = tuple(_unpack(r, n1 * n2) for r in rows)
-        forms = [_unpack(h, n1 * n2) for h in checks]
-    else:
-        span = _fiber_span(p, n1, n2, spans)
-        forms = _kernel_rows(span, n1 * n2, p)
-    zero = (1 << p ** (n1 + n2)) - 1
-    for h in forms:
-        zero &= _form_zero_mask(p, n1, n2, h)
-    return span, zero
+        width = n1 * n2
+        return (tuple(_unpack(r, width) for r in rows),
+                _zero_set(p, n1, n2, [_unpack(h, width) for h in checks]))
+    span = _fiber_span(p, n1, n2, spans)
+    return span, _basis_zero(p, n1, n2, span)[1]
 
 
 @lru_cache(maxsize=4096)
@@ -383,13 +409,23 @@ def closure(a: PairSet) -> BilinearVerdict:
 
 def _status(p: int, n1: int, n2: int, ind: int) -> BilinearVerdict:
     """The bilinearity decision on an indicator int.  The set is read once,
-    through its fibers, and S(A) and its zero set Z are looked up by the
-    span masks of the class unions.  The closure is Z cut to W1 x W2: the
-    {0} x W2 cell is W2's column, so w1 times it is the box (the shifted
-    copies of w1 never overlap)."""
+    through its fibers, S(A) and its zero set Z are looked up by the span
+    masks of the class unions, and _decide gives the verdict."""
     pi1, pi2, unions = _fiber_read(p, n1, n2, ind)
-    w1, w2 = _span_mask(p, n1, pi1), _span_mask(p, n2, pi2)
     span, zero = _span_zero(p, n1, n2, tuple(_span_mask(p, n1, u) for u in unions))
+    w1, w2, closed, status, witness, axis = _decide(p, n1, n2, ind, pi1, pi2, zero)
+    return BilinearVerdict(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
+                           PairSet(p, n1, n2, closed), status, witness, axis)
+
+
+def _decide(p: int, n1: int, n2: int, ind: int, pi1: int, pi2: int, zero: int) -> tuple:
+    """The one decision tail, from the indicator, the projection bitsets and
+    Z: (w1, w2, closure, status, witness, axis), with w1, w2 the span
+    bitsets of the projections.  The closure is Z cut to W1 x W2: the
+    {0} x W2 cell is W2's column, so w1 times it is the box (the shifted
+    copies of w1 never overlap).  The witness is the lowest pair index in
+    the closure outside the set."""
+    w1, w2 = _span_mask(p, n1, pi1), _span_mask(p, n2, pi2)
     closed = zero & w1 * _fiber_cell(p, n1, n2, -1, w2)
     if ind & ~closed:
         raise AssertionError("closure is not extensive; this is a bug")
@@ -400,8 +436,110 @@ def _status(p: int, n1: int, n2: int, ind: int) -> BilinearVerdict:
         witness = (i % p**n1, i // p**n1) if extra else None
         axis = "first" if pi1 != w1 else "second" if pi2 != w2 else None
         status = "bilinear" if witness is None and axis is None else "non_bilinear"
-    return BilinearVerdict(mask_to_subspace(p, n1, w1), mask_to_subspace(p, n2, w2), span,
-                           PairSet(p, n1, n2, closed), status, witness, axis)
+    return w1, w2, closed, status, witness, axis
+
+
+class _FiberKernel:
+    """Bilinearity verdicts along a stream of fiber maps of F_p^n1 x
+    F_p^n2, the sweeps' leaves.  A leaf is (f0, fibers) as
+    _fiber_map_mask reads it: f0 the fiber over 0 and fibers[c] the fiber
+    over projective class c of F_p^n1, bitsets over y.
+
+    For each prefix of classes the kernel keeps the indicator, both
+    projections and S(A) = sum over the placed c of rep_c (x) span(F_c),
+    as a reduced echelon basis: packed {pivot: row} at p = 2
+    (_xor_eliminate), pivot-ordered lists at odd p (_rref_extend), which is
+    the canonical RREF that _span_zero gives.  place() re-extends the
+    prefixes from the first class whose fiber changed since the last leaf,
+    and verdict() decides the leaf through _decide, as _status does.  Z is
+    the AND of the zero sets of the check forms, memoized on the basis at
+    odd p (_basis_zero)."""
+
+    def __init__(self, p: int, n1: int, n2: int):
+        self.p, self.n1, self.n2 = p, n1, n2
+        sp1 = vspace(p, n1)
+        self.k = k = len(sp1.proj_reps)
+        self._reps = sp1.proj_reps
+        self._points = [sum(1 << x for x in members) for members in sp1.class_members]
+        self._rows: dict = {}
+        self._f0 = None
+        self._fibers = [None] * k
+        self._ind = [0] * (k + 1)
+        self._pi1 = [0] * (k + 1)
+        self._pi2 = [0] * (k + 1)
+        self._basis: list = [None] * (k + 1)
+
+    def _class_rows(self, c: int, f: int) -> tuple:
+        """rep_c (x) b for the basis rows b of span(f): packed at p = 2."""
+        key = c, f
+        rows = self._rows.get(key)
+        if rows is None:
+            p, n2 = self.p, self.n2
+            if p == 2:
+                outer = _outer_bits(self.n1, n2)[self._reps[c]]
+                rows = tuple(outer[b] for b in _basis_indices(2, n2, f))
+            else:
+                x = vspace(p, self.n1).coords[self._reps[c]]
+                rows = tuple([a * b for a in x for b in y]
+                             for y in mask_to_subspace(p, n2, f).basis)
+            self._rows[key] = rows
+        return rows
+
+    def place(self, f0: int, fibers) -> int:
+        """Make (f0, fibers) the current leaf and return its indicator."""
+        p, n1, n2, k = self.p, self.n1, self.n2, self.k
+        old = self._fibers
+        if f0 != self._f0:
+            self._f0 = f0
+            self._ind[0] = _fiber_cell(p, n1, n2, -1, f0)
+            self._pi1[0] = 1 if f0 else 0
+            self._pi2[0] = f0
+            self._basis[0] = {} if p == 2 else ([], [])
+            start = 0
+        else:
+            start = 0
+            while start < k and old[start] == fibers[start]:
+                start += 1
+        ind, pi1, pi2, basis = self._ind, self._pi1, self._pi2, self._basis
+        for c in range(start, k):
+            f = old[c] = fibers[c]
+            if f:
+                ind[c + 1] = ind[c] | _fiber_cell(p, n1, n2, c, f)
+                pi1[c + 1] = pi1[c] | self._points[c]
+                pi2[c + 1] = pi2[c] | f
+                if p == 2:
+                    basis[c + 1] = _xor_eliminate(self._class_rows(c, f), dict(basis[c]))
+                else:
+                    rows, pivots = list(basis[c][0]), list(basis[c][1])
+                    _rref_extend(rows, pivots, self._class_rows(c, f), p)
+                    basis[c + 1] = rows, pivots
+            else:
+                ind[c + 1], pi1[c + 1], pi2[c + 1], basis[c + 1] = (
+                    ind[c], pi1[c], pi2[c], basis[c])
+        return ind[k]
+
+    def span(self) -> tuple:
+        """The canonical RREF basis of S(A) of the current leaf, flattened
+        row-major, as _span_zero gives it."""
+        basis = self._basis[self.k]
+        if self.p == 2:
+            return tuple(_unpack(basis[j], self.n1 * self.n2) for j in sorted(basis))
+        return tuple(map(tuple, basis[0]))
+
+    def verdict(self) -> tuple:
+        """(status, witness, axis, checks, closure) of the current leaf:
+        what _status decides, with the check forms of S(A), flattened
+        row-major, in column order; dim S(A) is n1 * n2 - len(checks)."""
+        p, n1, n2, k = self.p, self.n1, self.n2, self.k
+        if p == 2:
+            width = n1 * n2
+            checks = tuple(_unpack(h, width) for h in _gf2_checks(self._basis[k], width))
+            zero = _zero_set(p, n1, n2, checks)
+        else:
+            checks, zero = _basis_zero(p, n1, n2, self.span())
+        _, _, closed, status, witness, axis = _decide(
+            p, n1, n2, self._ind[k], self._pi1[k], self._pi2[k], zero)
+        return status, witness, axis, checks, closed
 
 
 def is_bilinear(a: PairSet) -> BilinearVerdict:

@@ -78,19 +78,29 @@ def content_digest(doc: dict) -> str:
 
 
 def make_certificate(kind: str, parameters: dict, payload: dict) -> dict:
-    doc = {
+    return _certificate(kind, parameters, payload)[0]
+
+
+def _certificate(kind: str, parameters: dict, payload: dict) -> tuple[dict, str]:
+    """The certificate and its canonical text, from one serialization of
+    the body: "digest" sorts before every body key, so the text is the
+    body's with the digest put first."""
+    body = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "parameters": parameters,
         "payload": payload,
     }
-    doc["digest"] = content_digest(doc)
-    return doc
+    text = canonical_json(body)
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    return {**body, "digest": digest}, f'{{"digest":"{digest}",{text[1:]}'
 
 
-def write_document(doc: dict, path: str) -> None:
+def write_document(doc: dict, path: str, text: str | None = None) -> None:
+    """Write doc as canonical JSON; text, when given, is that serialization
+    already made."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(doc))
+        fh.write(canonical_json(doc) if text is None else text)
 
 
 def _load_json(path: str) -> dict:
@@ -587,7 +597,7 @@ def _cmd_check(args) -> int:
     a = read_set(args.set)
     if args.what == "transverse":
         payload = _transverse_payload(a)
-        cert = make_certificate("transverse_check", _set_parameters(a), payload)
+        cert, text = _certificate("transverse_check", _set_parameters(a), payload)
         verdict_ok = payload["transverse"] and payload["modes_agree"]
         print(f"size={a.size} transverse={'yes' if payload['transverse'] else 'no'}")
         if payload["violation"] is not None:
@@ -596,7 +606,7 @@ def _cmd_check(args) -> int:
         verdict = is_bilinear(a)
         payload = _set_payload(a, verdict)
         kind = "bilinear" if verdict.status == "bilinear" else "non_bilinear"
-        cert = make_certificate(kind, _set_parameters(a), payload)
+        cert, text = _certificate(kind, _set_parameters(a), payload)
         if args.what == "bilinear":
             verdict_ok = verdict.status == "bilinear"
             print(f"size={a.size} status={verdict.status} r1={verdict.r1} "
@@ -615,7 +625,7 @@ def _cmd_check(args) -> int:
             print(f"closure size {verdict.closed.size} over spans of dims "
                   f"{verdict.w1.dim} x {verdict.w2.dim}; closed={verdict.closed.indicator == a.indicator}")
     if args.cert:
-        write_document(cert, args.cert)
+        write_document(cert, args.cert, text)
         print(f"certificate written to {args.cert}")
     return 0 if verdict_ok else 1
 
@@ -631,12 +641,12 @@ def _cmd_phi(args) -> int:
 def _cmd_verify(args) -> int:
     entry, params = _verify_entry(args)
     ok, kind, parameters, payload, lines = entry.run(params, args.jobs, args.override_cap)
-    cert = make_certificate(kind, parameters, payload)
+    cert, text = _certificate(kind, parameters, payload)
     for line in lines:
         print(line)
     print(f"{'VERIFIED' if ok else 'FAILED'} {args.what}")
     if args.cert:
-        write_document(cert, args.cert)
+        write_document(cert, args.cert, text)
         print(f"certificate written to {args.cert} (digest {cert['digest'][:16]}...)")
     return 0 if ok else 1
 
@@ -687,7 +697,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact computations with transverse and bilinear sets over F_p.",
     )
     parser.add_argument("--jobs", type=int,
-                        help=f"worker count for sweeps (default: ${JOBS_ENV} or CPU count)")
+                        help=f"most worker processes for a sweep large enough to start a "
+                             f"pool (default: ${JOBS_ENV} or CPU count)")
     parser.add_argument("--override-cap", action="store_true",
                         help="lift the enumeration size guard")
     sub = parser.add_subparsers(dest="command", required=True)

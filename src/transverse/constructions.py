@@ -139,8 +139,14 @@ def _sigma_mask(p: int, n1: int, n2: int, images: tuple[int, ...]) -> int:
     `images` (images[c] the class of P(F_p^n2) that class c of P(F_p^n1)
     goes to): the fiber map with V2 over 0 and Span(v) over class c, v the
     representative of images[c]."""
+    return _fiber_map_mask(p, n1, n2, (1 << p**n2) - 1, _sigma_fibers(p, n2, images))
+
+
+def _sigma_fibers(p: int, n2: int, images: tuple[int, ...]) -> list[int]:
+    """The class fibers of the span set of the map with image class table
+    `images`: Span(v) over class c, v the representative of images[c]."""
     spans = _span_fibers(p, n2)
-    return _fiber_map_mask(p, n1, n2, (1 << p**n2) - 1, [spans[d] for d in images])
+    return [spans[d] for d in images]
 
 
 @lru_cache(maxsize=None)
@@ -196,12 +202,18 @@ def _xi_mask(w: Subspace, n2: int, images: tuple[int, ...]) -> int:
     the image class table `images` (classes of P(F_p^n2)): the fiber map
     with V2 over 0 and over the classes inside w, and over any other class
     the kernel of the representative of the image of its class mod w."""
+    return _fiber_map_mask(w.p, w.ambient, n2, (1 << w.p**n2) - 1, _xi_fibers(w, n2, images))
+
+
+def _xi_fibers(w: Subspace, n2: int, images: tuple[int, ...]) -> list[int]:
+    """The class fibers of that set: V2 over the classes inside w, and over
+    any other class the kernel of the representative of images[q], q the
+    class of its residual mod w."""
     p = w.p
     full = (1 << p**n2) - 1
     kernel = _kernel_masks(p, n2)
     reps = vspace(p, n2).proj_reps
-    fibers = [full if q < 0 else kernel[reps[images[q]]] for q in _quotient_classes(w)]
-    return _fiber_map_mask(p, w.ambient, n2, full, fibers)
+    return [full if q < 0 else kernel[reps[images[q]]] for q in _quotient_classes(w)]
 
 
 @lru_cache(maxsize=64)

@@ -6,6 +6,12 @@ the masks whose row 0 is a subspace.  The classification, collineation and
 fundamental sweeps share one fiber-map DFS (_fiber_maps) that prunes on the
 line condition; every candidate it does not visit fails that condition.
 
+Bilinearity has one decision tail (bilinear._decide) and two ways to build
+S(A).  The powerset sweep looks S(A) up per block (_span_zero).  The sigma,
+xi and classification leaves are fiber maps, and one bilinear._FiberKernel
+per rank range extends S(A) class by class along the enumeration, so a leaf
+rebuilds only the classes whose fibers changed since the previous leaf.
+
 Each sweep walks a canonically ranked candidate space (subset indicator,
 lexicographic permutation rank, mixed-radix fiber/digit index), so the work
 can be split into contiguous rank ranges and merged back in rank order; a
@@ -19,10 +25,13 @@ Every public sweep has the signature (..., jobs=1, override_cap=False) and
 does three things of its own: it checks its parameters (a prime p,
 dimensions and sample counts of at least 1, each a ValueError before any cap
 check), it checks its enumeration budget (CapExceeded unless override_cap),
-and it hands a rank-range worker to the one driver, _sweep.  The driver
-times the run, maps the worker over the ranges, merges the partial counts
-and witnesses in rank order, and decides `ok` with the sweep's predicate on
-the merged counts alone.
+and it hands a rank-range worker to the one driver, _sweep, with its
+`work`, the count of leaf verdicts its parameters give.  The driver times
+the run, maps the worker over the ranges, merges the partial counts and
+witnesses in rank order, and decides `ok` with the sweep's predicate on the
+merged counts alone.  Only a sweep whose work reaches _POOL_WORK runs its
+ranges in a process pool; a smaller one runs in this process whatever the
+job count, since starting the workers would cost more than they save.
 """
 
 from __future__ import annotations
@@ -35,14 +44,13 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
 
-from .bilinear import FormSpace, _form_zero_mask, _span_zero, _status, orth
-from .constructions import _sigma_mask, _xi_mask
+from .bilinear import FormSpace, _FiberKernel, _form_zero_mask, _span_zero, orth
+from .constructions import _sigma_fibers, _xi_fibers
 from .counting import proj_count
 from .detrng import _GAMMA, SplitMix64, exchange_shuffle
 from .fpcore import (
     Subspace,
     _check_table,
-    _kernel_rows,
     all_subspaces,
     capped_factorial,
     check_cap,
@@ -54,7 +62,6 @@ from .pairsets import (
     PairSet,
     SingleSet,
     _fiber_cell,
-    _fiber_map_mask,
     _fiber_map_read,
     _fiber_read,
     _iter_bits,
@@ -159,13 +166,21 @@ def _merge(parts: list, cap: int = 8) -> tuple[dict, list]:
     return counts, witnesses[:cap]
 
 
+# leaf verdicts a sweep must have before it starts a process pool: below
+# this, starting the workers costs more than they save
+_POOL_WORK = 1 << 13
+
+
 def _sweep(kind: str, parameters: dict, worker, args: tuple, total: int, jobs: int,
-           ok, cap: int = 8) -> SweepReport:
+           ok, cap: int = 8, work: int = 0) -> SweepReport:
     """The driver of every sweep: `worker` over the ranks [0, total) in one
-    contiguous range per worker, min(jobs, CPU count, total) of them, merged
-    in rank order, with `ok` a predicate on the merged counts."""
+    contiguous range per worker, merged in rank order, with `ok` a predicate
+    on the merged counts.  `work` is the sweep's count of leaf verdicts, set
+    by its parameters: from _POOL_WORK on, min(jobs, CPU count, total)
+    workers run in a process pool, and below it one range runs in this
+    process."""
     t0 = time.perf_counter()
-    workers = min(jobs, os.cpu_count() or 1, total)
+    workers = min(jobs, os.cpu_count() or 1, total) if work >= _POOL_WORK else 1
     counts, witnesses = _merge(_map_ranges(worker, args, total, workers), cap)
     return SweepReport(kind, parameters, counts, witnesses, ok(counts),
                        wall_time=time.perf_counter() - t0, workers=workers)
@@ -339,20 +354,21 @@ def exhaustive_subset_sweep(
     _check_sizes(p, n)
     m1 = p**n
     check_cap(2, override_cap, "powerset sweep", exp=m1 * m1)
+    blocks = 1 << m1 * (m1 - 1)
     return _sweep(
-        "exhaustive_subset_sweep", {"p": p, "n": n}, _subset_range, (p, n), 1 << m1 * (m1 - 1),
-        jobs,
+        "exhaustive_subset_sweep", {"p": p, "n": n}, _subset_range, (p, n), blocks, jobs,
         lambda c: c["transverse_non_bilinear"] == 0 and c["oracle_mismatch"] == 0,
+        work=blocks,
     )
 
 
 # ------------------------------------------- hyperplane-fiber classification
 
 
-def _classify_leaf(p, n, size, f0, fibers, full, span):
+def _classify_leaf(p, n, size, f0, fibers, full, checks):
     """Alternative number (1, 2 or 3) for one valid hyperplane-fiber set of
-    the given size with fiber f0 over 0 and fibers[c] over class c, span
-    the RREF basis of its S(A).
+    the given size with fiber f0 over 0 and fibers[c] over class c, checks
+    the check forms of its S(A), flattened row-major.
 
     Priority order is 1 -> 2 -> 3; the alternatives overlap (the full space
     satisfies both 1 and 2) and the first match wins.
@@ -365,7 +381,6 @@ def _classify_leaf(p, n, size, f0, fibers, full, span):
     # vanishing on P are the span of the check forms of S(P), and their
     # zero sets contain P, so equality is a size check; scalar multiples
     # share a zero set, so only normalized coefficient vectors are tried.
-    checks = _kernel_rows(span, n * n, p)
     for lams in product(range(p), repeat=len(checks)):
         if next((c for c in lams if c), 0) != 1:
             continue
@@ -444,16 +459,18 @@ def _classify_digits(args: tuple, d_lo: int, d_hi: int):
         "leaf_rejected": 0,
     }
 
+    kern = _FiberKernel(p, n, n)
+
     def leaf(f0, fibers):
-        mask = _fiber_map_mask(p, n, n, f0, fibers)
+        mask = kern.place(f0, fibers)
         if _fiber_map_read(p, n, n, mask)[0] is not None:
             counts["leaf_rejected"] += 1
             return
         counts["valid"] += 1
-        v = _status(p, n, n, mask)
-        alt = _classify_leaf(p, n, mask.bit_count(), f0, fibers, full, v.span)
+        status, _, _, checks, _ = kern.verdict()
+        alt = _classify_leaf(p, n, mask.bit_count(), f0, fibers, full, checks)
         counts[f"alt{alt}"] += 1
-        if v.status == "bilinear":
+        if status == "bilinear":
             counts["bilinear"] += 1
 
     for d0 in range(d_lo, d_hi):
@@ -474,11 +491,14 @@ def classify_hyperplane_fibers(
     k = proj_count(p, n)
     n_options = 1 + k  # full plus one hyperplane per functional class
     check_cap(n_options, override_cap, "fiber-map enumeration", exp=k + 1)
+    # work 0: every leaf with the full space over 0 falls in rank 0, so a
+    # pool would only add its start-up
     return _sweep(
         "classify_hyperplane_fibers", {"p": p, "n": n}, _classify_digits, (p, n), n_options, jobs,
         lambda c: c["leaf_rejected"] == 0
         and c["alt1"] + c["alt2"] + c["alt3"] == c["valid"]
         and (p >= 5 or (c["alt3"] == 0 and c["bilinear"] == c["valid"])),
+        work=0,
     )
 
 
@@ -497,10 +517,13 @@ def _sample_range(k: int, seed: int, lo: int, hi: int):
 
 def _sigma_range(args: tuple, lo: int, hi: int):
     """Each rank's permutation (lexicographic, or with a seed the sample of
-    that rank) is the image class table of sigma: it goes straight to the
-    span-set, bilinearity and recognition cores, with no map or set object."""
+    that rank) is the image class table of sigma: its span-set fibers go
+    straight to the fiber-map kernel, and the table to the recognition core,
+    with no map or set object."""
     p, n, seed = args
     k = proj_count(p, n)
+    full = (1 << p**n) - 1
+    kern = _FiberKernel(p, n, n)
     counts = {
         "candidates": hi - lo,
         "non_bilinear": 0,
@@ -511,8 +534,9 @@ def _sigma_range(args: tuple, lo: int, hi: int):
     witnesses = []
     ranked = _perm_range(lo, hi, k) if seed is None else _sample_range(k, seed, lo, hi)
     for rank, table in zip(range(lo, hi), ranked):
-        v = _status(p, n, n, _sigma_mask(p, n, n, table))
-        hit = v.status == "non_bilinear"
+        kern.place(full, _sigma_fibers(p, n, table))
+        status, witness, _, _, _ = kern.verdict()
+        hit = status == "non_bilinear"
         projective = _recognize_table(p, n, n, table) is not None
         counts["non_bilinear" if hit else "bilinear"] += 1
         counts["projective"] += projective
@@ -520,7 +544,7 @@ def _sigma_range(args: tuple, lo: int, hi: int):
             counts["projective_non_bilinear"] += 1
             witnesses.append(["projective_non_bilinear", rank])
         elif hit and len(witnesses) < 16:
-            witnesses.append([rank, list(v.witness) if v.witness is not None else None])
+            witnesses.append([rank, list(witness) if witness is not None else None])
     return counts, witnesses
 
 
@@ -557,7 +581,7 @@ def search_sigma(
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'samples', got {mode!r}")
     return _sweep("search_sigma", parameters, _sigma_range, (p, n, seed), total, jobs,
-                  lambda c: c["projective_non_bilinear"] == 0, cap=16)
+                  lambda c: c["projective_non_bilinear"] == 0, cap=16, work=total)
 
 
 # --------------------------------------------------------- collineation sweep
@@ -620,10 +644,12 @@ def verify_collineation_lemma(
     """Enumerate every total map between projective point sets and check that
     the ones satisfying the line condition are constant or injective."""
     _check_sizes(p, n_dom, n_cod)
-    kc = proj_count(p, n_cod)
-    check_cap(kc, override_cap, "total-map enumeration", exp=proj_count(p, n_dom))
+    kc, kd = proj_count(p, n_cod), proj_count(p, n_dom)
+    check_cap(kc, override_cap, "total-map enumeration", exp=kd)
+    # the leaves the lemma allows: the constant maps and the injective ones
+    work = kc + math.perm(kc, kd)
     return _sweep("verify_collineation_lemma", {"p": p, "n_dom": n_dom, "n_cod": n_cod},
-                  _collineation_digits, (p, n_dom, n_cod), kc, jobs, _no_violations)
+                  _collineation_digits, (p, n_dom, n_cod), kc, jobs, _no_violations, work=work)
 
 
 # ---------------------------------------------------------- fundamental sweep
@@ -662,9 +688,10 @@ def fundamental_sweep(p: int, n: int, jobs: int = 1, override_cap: bool = False)
     if n < 3:
         raise ValueError("the line-preserving/projective equivalence needs n >= 3")
     k = proj_count(p, n)
-    capped_factorial(k, override_cap, "permutation sweep")
+    work = capped_factorial(k, override_cap, "permutation sweep")
     return _sweep("fundamental_sweep", {"p": p, "n": n}, _fundamental_digits, (p, n), k, jobs,
-                  lambda c: c["violations"] == 0 and c["line_preserving"] == pgl_order(p, n))
+                  lambda c: c["violations"] == 0 and c["line_preserving"] == pgl_order(p, n),
+                  work=work)
 
 
 # ----------------------------------------------------------------- xi sweep
@@ -674,6 +701,8 @@ def _xi_range(args: tuple, lo: int, hi: int):
     (p,) = args
     k = proj_count(p, 2)
     w = Subspace.zero(p, 2)
+    full = (1 << p * p) - 1
+    kern = _FiberKernel(p, 2, 2)
     counts = {
         "bijections": hi - lo,
         "projective": 0,
@@ -685,8 +714,12 @@ def _xi_range(args: tuple, lo: int, hi: int):
     }
     witnesses = []
     for rank, table in zip(range(lo, hi), _perm_range(lo, hi, k)):
-        v = _status(p, 2, 2, _xi_mask(w, 2, table))
-        bilinear = v.status == "bilinear"
+        kern.place(full, _xi_fibers(w, 2, table))
+        status, _, _, checks, _ = kern.verdict()
+        bilinear = status == "bilinear"
+        # every fiber is nonempty and f0 is full, so W1 = W2 = F_p^2 and
+        # dim ann = 4 - dim S(A), the number of check forms
+        r3 = len(checks)
         if _recognize_table(p, 2, 2, table) is not None:
             counts["projective"] += 1
             counts["projective_bilinear"] += bilinear
@@ -696,8 +729,8 @@ def _xi_range(args: tuple, lo: int, hi: int):
         else:
             counts["non_projective"] += 1
             counts["non_projective_non_bilinear"] += not bilinear
-            counts["non_projective_ann_zero"] += v.r3 == 0
-            if bilinear or v.r3 != 0:
+            counts["non_projective_ann_zero"] += r3 == 0
+            if bilinear or r3 != 0:
                 counts["violations"] += 1
                 if len(witnesses) < 8:
                     witnesses.append(["non_projective_bilinear", rank])
@@ -711,7 +744,8 @@ def xi_line_sweep(p: int, jobs: int = 1, override_cap: bool = False) -> SweepRep
     non-bilinear verdict."""
     _check_sizes(p)
     total = capped_factorial(proj_count(p, 2), override_cap, "line-bijection sweep")
-    return _sweep("xi_line_sweep", {"p": p}, _xi_range, (p,), total, jobs, _no_violations)
+    return _sweep("xi_line_sweep", {"p": p}, _xi_range, (p,), total, jobs, _no_violations,
+                  work=total)
 
 
 # ------------------------------------------------- sumset / phi exploration

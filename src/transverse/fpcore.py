@@ -13,6 +13,7 @@ makes structural equality meaningful and serialization canonical.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -207,11 +208,20 @@ def rref(rows, p: int):
     where basis is a list of nonzero reduced rows (pivot entries 1, zeros
     above and below each pivot) and pivots the matching pivot column list.
 
-    One list loop serves every p: each row is reduced against the basis,
-    scaled so its pivot is 1, and then cleared from the earlier rows.
+    One list loop serves every p (_rref_extend, from an empty basis).
     """
     basis: list[list[int]] = []
     pivots: list[int] = []
+    _rref_extend(basis, pivots, rows, p)
+    return basis, pivots
+
+
+def _rref_extend(basis: list, pivots: list, rows, p: int) -> None:
+    """Reduce rows into a reduced echelon basis, in place, keeping it in
+    ascending pivot order: each row is reduced against the basis, scaled so
+    its pivot is 1, cleared from the earlier rows and inserted at its
+    pivot's place.  Basis rows are replaced, never changed, so shallow
+    copies of the two lists save a state to extend again later."""
     for r in rows:
         row = [c % p for c in r]
         for b, j in zip(basis, pivots):
@@ -228,17 +238,18 @@ def rref(rows, p: int):
             lam = b[j]
             if lam:
                 basis[i] = [(c - lam * rc) % p for c, rc in zip(b, row)]
-        basis.append(row)
-        pivots.append(j)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], sorted(pivots)
+        at = bisect(pivots, j)
+        basis.insert(at, row)
+        pivots.insert(at, j)
 
 
-def _xor_eliminate(rows) -> dict[int, int]:
+def _xor_eliminate(rows, basis: dict | None = None) -> dict[int, int]:
     """Reduced echelon basis over F_2 of packed rows, as {pivot: row}: each
     row is reduced against the basis, then its pivot bit (its lowest set
-    bit) is cleared from the earlier rows."""
-    basis: dict[int, int] = {}
+    bit) is cleared from the earlier rows.  A given basis is extended in
+    place and returned."""
+    if basis is None:
+        basis = {}
     for v in rows:
         for j, b in basis.items():
             if v >> j & 1:

@@ -124,6 +124,11 @@ class SingleSet:
         return bool(self.indicator >> index & 1)
 
 
+def _check_dims(n1: int, n2: int) -> None:
+    if n1 < 1 or n2 < 1:
+        raise ValueError("dimensions must be at least 1")
+
+
 def _check_index(name: str, value: int, bound: int) -> None:
     if not 0 <= value < bound:
         raise ValueError(f"{name} {value} out of range [0, {bound})")
@@ -197,6 +202,7 @@ class PairSet:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
+        _check_dims(self.n1, self.n2)
         if self.indicator < 0 or self.indicator.bit_length() > self.p ** (self.n1 + self.n2):
             raise ValueError("indicator out of range")
 
@@ -207,6 +213,7 @@ class PairSet:
         bytearray and read as one int, so the cost is linear in the pairs."""
         _check_table(p, max(n1, n2))
         _require_prime(p)
+        _check_dims(n1, n2)
         m1, m2 = p**n1, p**n2
         bits = bytearray((m1 * m2 + 7) // 8)
         for xi, yi in pairs:

@@ -317,6 +317,33 @@ def test_golden_fast_replays():
         assert run(["replay", "--cert", os.path.join(GOLDEN, name)]) == 0
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("sigma_search_p2_n3.json", ["verify", "sigma-search", "--p", "2", "--n", "3"]),
+    ("xi_line_p5.json", ["verify", "classification", "--p", "5", "--mode", "xi"]),
+])
+def test_fiber_kernel_sweeps_regenerate_their_golden_bytes(name, argv, tmp_path):
+    # the sigma and xi leaves are decided by the fiber-map kernel; the
+    # golden certificates are rewritten byte for byte at either job count
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        golden = fh.read()
+    for jobs in ("1", "2"):
+        cert = str(tmp_path / f"jobs{jobs}.json")
+        assert run(["--jobs", jobs] + argv + ["--cert", cert]) == 0
+        with open(cert, "rb") as fh:
+            assert fh.read() == golden, (name, jobs)
+
+
+def test_a_certificate_is_written_from_its_one_serialization():
+    # the text built with the digest is the canonical JSON of the document
+    for name in sorted(os.listdir(GOLDEN)):
+        doc = read_certificate(os.path.join(GOLDEN, name))
+        made, text = cli._certificate(doc["kind"], doc["parameters"], doc["payload"])
+        assert made == doc and text == canonical_json(doc), name
+    made, text = cli._certificate("transverse_check", {}, {"size": 0, "x": [None, True]})
+    assert made == make_certificate("transverse_check", {}, {"size": 0, "x": [None, True]})
+    assert text == canonical_json(made)
+
+
 def test_jobs_flag_does_not_change_bytes(tmp_path):
     one = str(tmp_path / "j1.json")
     four = str(tmp_path / "j4.json")

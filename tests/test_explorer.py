@@ -4,6 +4,7 @@ searches, and the deterministic parallel engine."""
 import inspect
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import Future
@@ -336,6 +337,8 @@ def test_a_perturbed_family_is_caught_in_both_directions(monkeypatch):
     for lo, hi in ((0, 4096), (277, 278), (276, 278), (277, 279), (276, 313), (0, 277),
                    (0, 278), (278, 4096)):
         assert explorer._subset_range((2, 2), lo, hi) == reference_blocks(2, 2, lo, hi)
+    # the 4,096 blocks are below the pool threshold; lowered, they get a pool
+    monkeypatch.setattr(explorer, "_POOL_WORK", 0)
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 4)
     reports = [exhaustive_subset_sweep(2, 2, jobs=jobs) for jobs in (1, 2, 4)]
     assert [r.workers for r in reports] == [1, 2, 4]
@@ -516,6 +519,7 @@ def test_samples_mode_hands_each_worker_a_seed_not_tables(monkeypatch):
         return inner(args, lo, hi)
 
     monkeypatch.setattr(explorer, "_sigma_range", recorded)
+    monkeypatch.setattr(explorer, "_POOL_WORK", 0)  # 40 samples get a pool
     monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
     report = search_sigma(2, 3, mode="samples", samples=40, seed=9, jobs=2)
@@ -579,8 +583,10 @@ class InlinePool:
 
 def test_process_count_is_bounded(monkeypatch):
     # one range per started worker, and the workers are bounded by the
-    # CPU count and by the ranks, not by jobs
+    # CPU count and by the ranks, not by jobs; the pool threshold is lowered
+    # so that these small sweeps start one
     started, submitted = [], []
+    monkeypatch.setattr(explorer, "_POOL_WORK", 0)
     monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
 
@@ -601,8 +607,10 @@ def test_process_count_is_bounded(monkeypatch):
 
 
 def test_powerset_split_in_three_matches_the_golden_payload(monkeypatch):
-    # three workers split the 4,096 blocks of the (2,2) powerset unevenly
+    # three workers split the 4,096 blocks of the (2,2) powerset unevenly,
+    # once the pool threshold is lowered below them
     started, submitted = [], []
+    monkeypatch.setattr(explorer, "_POOL_WORK", 0)
     monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
     monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
     report = exhaustive_subset_sweep(2, 2, jobs=8)
@@ -610,6 +618,112 @@ def test_powerset_split_in_three_matches_the_golden_payload(monkeypatch):
     assert submitted == [(0, 1366), (1366, 2731), (2731, 4096)]
     with open(GOLDEN / "exhaustive_p2_n2.json") as fh:
         assert report.canonical()["payload"] == json.load(fh)["payload"]
+
+
+class Placed(Exception):
+    """Raised by a stubbed engine with the worker count it was given."""
+
+
+def test_a_sweep_gets_a_pool_only_from_the_work_threshold(monkeypatch):
+    # with two CPUs and jobs=2, the ranks run in a pool only when the
+    # sweep's count of leaf verdicts reaches 2^13; the engine is stubbed,
+    # so no rank is visited
+    def stub(worker, args, total, workers):
+        raise Placed(workers)
+
+    monkeypatch.setattr(explorer, "_map_ranges", stub)
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+    assert explorer._POOL_WORK == 1 << 13
+    table = [
+        (lambda: exhaustive_subset_sweep(2, 2, jobs=2), 1),  # 2^12 blocks
+        (lambda: exhaustive_subset_sweep(5, 1, jobs=2), 2),  # 2^20 blocks
+        (lambda: search_sigma(2, 3, jobs=2), 1),  # 7! = 5,040
+        (lambda: search_sigma(2, 3, "samples", samples=(1 << 13) - 1, seed=1, jobs=2), 1),
+        (lambda: search_sigma(2, 3, "samples", samples=1 << 13, seed=1, jobs=2), 2),
+        (lambda: xi_line_sweep(5, jobs=2), 1),  # 6! = 720
+        (lambda: xi_line_sweep(7, jobs=2), 2),  # 8! = 40,320
+        (lambda: fundamental_sweep(2, 3, jobs=2), 1),  # 7! = 5,040
+        (lambda: fundamental_sweep(3, 3, jobs=2, override_cap=True), 2),  # 13!
+        (lambda: fundamental_sweep(2, 4, jobs=2, override_cap=True), 2),  # 15!
+        (lambda: verify_collineation_lemma(2, 3, 3, jobs=2), 1),  # 7 + 7! = 5,047
+        (lambda: verify_collineation_lemma(3, 3, 3, jobs=2, override_cap=True), 2),
+        (lambda: classify_hyperplane_fibers(5, 2, jobs=2), 1),  # always in-process
+        (lambda: classify_hyperplane_fibers(2, 3, jobs=2), 1),
+    ]
+    placed = []
+    for call, _ in table:
+        with pytest.raises(Placed) as info:
+            call()
+        placed.append(info.value.args[0])
+    assert placed == [workers for _, workers in table]
+    # one job never starts a pool
+    with pytest.raises(Placed, match="^1$"):
+        exhaustive_subset_sweep(5, 1, jobs=1)
+    # the work each sweep hands the driver at the benchmark's shapes
+    def driver(*args, work=0, **kwargs):
+        raise Placed(work)
+
+    monkeypatch.setattr(explorer, "_sweep", driver)
+    works = []
+    for call in (lambda: exhaustive_subset_sweep(2, 2), lambda: search_sigma(2, 3),
+                 lambda: search_sigma(3, 3, "samples", samples=300, seed=1),
+                 lambda: xi_line_sweep(5), lambda: fundamental_sweep(2, 3),
+                 lambda: verify_collineation_lemma(2, 3, 3),
+                 lambda: classify_hyperplane_fibers(5, 2)):
+        with pytest.raises(Placed) as info:
+            call()
+        works.append(info.value.args[0])
+    assert works == [4096, 5040, 300, 720, 5040, 7 + 5040, 0]
+
+
+def _reject_every_seventh_leaf(monkeypatch):
+    real = explorer._fiber_map_read
+    monkeypatch.setattr(explorer, "_fiber_map_read", lambda p, n1, n2, ind: (
+        ("injected", None), None) if ind % 7 == 0 else real(p, n1, n2, ind))
+
+
+POOLED = {
+    "powerset": (lambda jobs: exhaustive_subset_sweep(2, 2, jobs=jobs), None),
+    "powerset, empty family": (
+        lambda jobs: exhaustive_subset_sweep(2, 2, jobs=jobs),
+        lambda mp: mp.setattr(explorer, "_bilinear_family", lambda p, n: frozenset())),
+    "sigma": (lambda jobs: search_sigma(2, 3, jobs=jobs), None),
+    "sigma samples": (
+        lambda jobs: search_sigma(3, 3, "samples", samples=300, seed=5, jobs=jobs), None),
+    "xi": (lambda jobs: xi_line_sweep(5, jobs=jobs), None),
+    "fundamental": (lambda jobs: fundamental_sweep(2, 3, jobs=jobs), None),
+    "fundamental, three lines": (
+        lambda jobs: fundamental_sweep(2, 3, jobs=jobs),
+        lambda mp: _fano_lines(mp, lambda lines: lines[:3])),
+    "collineation": (lambda jobs: verify_collineation_lemma(2, 3, 3, jobs=jobs), None),
+    "collineation, three lines": (
+        lambda jobs: verify_collineation_lemma(2, 3, 2, jobs=jobs),
+        lambda mp: _fano_lines(mp, lambda lines: lines[:3])),
+    "classification": (lambda jobs: classify_hyperplane_fibers(5, 2, jobs=jobs), None),
+    "classification, rejected leaves": (
+        lambda jobs: classify_hyperplane_fibers(5, 2, jobs=jobs), _reject_every_seventh_leaf),
+}
+
+
+@pytest.mark.parametrize("name", POOLED)
+def test_pooled_sweeps_give_the_same_payload_at_any_job_count(name, monkeypatch):
+    # with the threshold at 0 every sweep gets a pool; its payload is the
+    # same in this process, over two worker processes and over eight ranges
+    # (run inline, so that eight processes never start), also when a failing
+    # oracle is injected
+    call, inject = POOLED[name]
+    if inject is not None:
+        inject(monkeypatch)
+    monkeypatch.setattr(explorer, "_POOL_WORK", 0)
+    one, two = call(1), call(2)
+    started, submitted = [], []
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", InlinePool(started, submitted))
+    monkeypatch.setattr(explorer.os, "cpu_count", lambda: 8)
+    eight = call(8)
+    assert one.ok == (inject is None)
+    assert one.workers == 1 and two.workers == min(2, os.cpu_count() or 1)
+    assert started == [eight.workers] and len(submitted) == eight.workers > 2
+    assert two.canonical() == one.canonical() == eight.canonical()
 
 
 def test_collineation_p2_n2():

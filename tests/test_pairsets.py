@@ -48,6 +48,12 @@ def test_from_pairs_roundtrip():
     for p in (-3, 4):
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
             PairSet.from_pairs(p, 1, 2, [])
+    # and so are the dimensions, by the constructor and by from_pairs
+    for n1, n2 in ((-2, 1), (0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="^dimensions must be at least 1$"):
+            PairSet(2, n1, n2, 0)
+        with pytest.raises(ValueError, match="^dimensions must be at least 1$"):
+            PairSet.from_pairs(2, n1, n2, [])
 
 
 def test_indicator_range_is_checked_by_bit_length():

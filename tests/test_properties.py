@@ -13,7 +13,11 @@ against the pair-by-pair set, the span-set and P_xi cores on class tables
 against the per-pair and per-x constructions, and the vertical sumset on the
 compact fibers against the pair-by-pair sum.  The line_duality family
 checks, on every class triple at six shapes, that the hyperplane fibers
-turn the collineation line condition into the fiber-map one.
+turn the collineation line condition into the fiber-map one.  The
+fiber_kernel family holds the sweeps' fiber-map verdict kernel to _status:
+on every nonempty transverse set at (2,2,2), (3,2,2), (2,2,3) and (5,2,2),
+enumerated as fiber maps, on streams of random fiber maps that share
+prefixes (fibers that are not subspaces included), and on sigma samples.
 
 Each random family draws its cases from a SplitMix64 stream, so every run
 checks the same cases.  The counts below total more than ten thousand
@@ -26,9 +30,11 @@ from functools import lru_cache
 from itertools import permutations
 
 from transverse.bilinear import (
+    _FiberKernel,
     _fiber_span,
     _form_zero_mask,
     _span_gf2,
+    _status,
     _unpack,
     ann,
     closure,
@@ -37,13 +43,14 @@ from transverse.bilinear import (
 )
 from transverse.constructions import (
     ProjBijection,
+    _sigma_fibers,
     _sigma_mask,
     _xi_mask,
     build_P_sigma,
     random_sigma,
 )
 from transverse.detrng import SplitMix64, exchange_shuffle
-from transverse.explorer import _fiber_maps, perm_unrank
+from transverse.explorer import _fiber_maps, _sample_range, perm_unrank
 from transverse.fpcore import (
     MatP,
     ProjPoint,
@@ -61,6 +68,7 @@ from transverse.fpcore import (
 from transverse.pairsets import (
     PairSet,
     _fiber_map_mask,
+    _fiber_map_read,
     _fiber_read,
     _iter_bits,
     _kernel_masks,
@@ -83,6 +91,12 @@ SHAPES = ((2, 2), (3, 2), (2, 3))
 FIBER_MAP_CORE_CASES = 500
 # every permutation at (2,2), (3,2) and (2,3), then 200 at (5,2)
 SIGMA_CORE_CASES = 6 + 24 + 5_040 + 200
+# the nonempty transverse sets of each shape as (leaves, bilinear ones)
+KERNEL_LEAVES = {(2, 2, 2): (107, 107), (3, 2, 2): (325, 229), (2, 2, 3): (1_690, 1_690),
+                 (5, 2, 2): (13_559, 839)}
+# random fiber maps, then sigma samples
+KERNEL_RANDOM_CASES = 2_000
+KERNEL_SIGMA_CASES = 1_000
 
 COUNTS = {
     "galois": 2400,
@@ -109,6 +123,9 @@ COUNTS = {
     # p = 2, 3, 5 on the sweep's frame, then random frames
     "table_cores": FIBER_MAP_CORE_CASES + SIGMA_CORE_CASES + 6 + 24 + 720 + 240,
     "dir_sum_oracle": 1200,
+    # every leaf at four shapes, random fiber maps, then sigma samples
+    "fiber_kernel": sum(n for n, _ in KERNEL_LEAVES.values())
+    + KERNEL_RANDOM_CASES + KERNEL_SIGMA_CASES,
 }
 
 
@@ -890,6 +907,90 @@ def family_dir_sum_oracle(cases, seed=115):
     return cases
 
 
+def kernel_agrees(kern, p, n1, n2, f0, fibers):
+    """The kernel's leaf against _status on the set of the fiber map:
+    indicator, status, witness, axis, closure, the S(A) basis and the check
+    forms in column order.  Returns (indicator, status)."""
+    ind = kern.place(f0, fibers)
+    assert ind == _fiber_map_mask(p, n1, n2, f0, fibers), (p, n1, n2, f0, fibers)
+    status, witness, axis, checks, closed = kern.verdict()
+    v = _status(p, n1, n2, ind)
+    assert (status, witness, axis, closed) == (
+        v.status, v.witness, v.non_subspace_axis, v.closed.indicator), (p, n1, n2, f0, fibers)
+    assert kern.span() == v.span
+    assert list(checks) == _kernel_rows(v.span, n1 * n2, p)
+    return ind, status
+
+
+def transverse_fiber_maps(p, n1, n2, leaf):
+    """leaf(f0, fibers) for every nonempty transverse set of F_p^n1 x
+    F_p^n2: f0 a subspace of F_p^n2 and, per class of F_p^n1, an empty
+    fiber or a subspace inside f0, under the line condition (_fiber_maps).
+    An empty fiber on a line with two nonempty ones is refused there, as
+    their intersection holds 0."""
+    k = len(vspace(p, n1).proj_reps)
+    subs = [subspace_mask(s) for s in all_subspaces(p, n2)]
+    lines, _ = line_structure(p, n1)
+    for f0 in subs:
+        _fiber_maps(f0, [[0] + subs] * k, lines, k, lambda fibers: leaf(f0, fibers))
+
+
+def family_fiber_kernel(cases, seed=116):
+    """The fiber-map verdict kernel agrees with _status (kernel_agrees): on
+    every nonempty transverse set at four shapes, each leaf re-checked as
+    transverse and the leaf and bilinear counts pinned; on a stream of
+    fiber maps per shape that alternates a fresh random fiber map with one
+    that keeps a random prefix of the last and fills the rest with arbitrary
+    bitsets (every tenth map is the empty set); and on sigma samples, the
+    tables search_sigma's samples mode draws."""
+    done = 0
+    for (p, n1, n2), expected in KERNEL_LEAVES.items():
+        kern = _FiberKernel(p, n1, n2)
+        tally = [0, 0]
+
+        def leaf(f0, fibers):
+            ind, status = kernel_agrees(kern, p, n1, n2, f0, fibers)
+            assert _fiber_map_read(p, n1, n2, ind)[0] is None
+            tally[0] += 1
+            tally[1] += status == "bilinear"
+
+        transverse_fiber_maps(p, n1, n2, leaf)
+        assert tuple(tally) == expected, (p, n1, n2, tally)
+        done += tally[0]
+    rng = SplitMix64(seed)
+    shapes = ((2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2), (5, 2, 2), (2, 1, 3), (7, 1, 2))
+    statuses = set()
+    n_random = min(cases - done, KERNEL_RANDOM_CASES)
+    per_shape = n_random // len(shapes)
+    for i, (p, n1, n2) in enumerate(shapes):
+        kern = _FiberKernel(p, n1, n2)
+        f0, fibers = random_fiber_map(rng, p, n1, n2)
+        for j in range(per_shape + (i < n_random % len(shapes))):
+            if j % 10 == 9:  # the empty set
+                f0, fibers = 0, [0] * len(fibers)
+            elif j % 2:  # arbitrary bitsets: not subspaces, not inside f0
+                cut = rng.below(len(fibers) + 1)
+                fibers = fibers[:cut] + [rng.below(1 << p**n2) for _ in fibers[cut:]]
+                if rng.below(4) == 0:
+                    f0 = rng.below(1 << p**n2)
+            else:
+                f0, fibers = random_fiber_map(rng, p, n1, n2)
+            statuses.add(kernel_agrees(kern, p, n1, n2, f0, fibers)[1])
+        done += per_shape + (i < n_random % len(shapes))
+    assert statuses == {"empty", "bilinear", "non_bilinear"}, statuses
+    n_sigma = min(cases - done, KERNEL_SIGMA_CASES)
+    shapes = ((2, 3), (3, 2), (5, 2), (3, 3))
+    for i, (p, n) in enumerate(shapes):
+        kern = _FiberKernel(p, n, n)
+        full = (1 << p**n) - 1
+        draws = n_sigma // len(shapes) + (i < n_sigma % len(shapes))
+        for table in _sample_range(len(vspace(p, n).proj_reps), seed + i, 0, draws):
+            ind, _ = kernel_agrees(kern, p, n, n, full, _sigma_fibers(p, n, table))
+            assert ind == _sigma_mask(p, n, n, table)
+        done += draws
+    return done
+
+
 FAMILIES = {
     "galois": family_galois,
     "closure": family_closure,
@@ -907,6 +1008,7 @@ FAMILIES = {
     "line_duality": family_line_duality,
     "table_cores": family_table_cores,
     "dir_sum_oracle": family_dir_sum_oracle,
+    "fiber_kernel": family_fiber_kernel,
 }
 
 
@@ -997,3 +1099,7 @@ def test_family_table_cores():
 
 def test_family_dir_sum_oracle():
     assert run_family("dir_sum_oracle")[0] == COUNTS["dir_sum_oracle"]
+
+
+def test_family_fiber_kernel():
+    assert run_family("fiber_kernel")[0] == COUNTS["fiber_kernel"]
