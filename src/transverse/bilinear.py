@@ -489,15 +489,14 @@ class _FiberKernel:
         """Make (f0, fibers) the current leaf and return its indicator."""
         p, n1, n2, k = self.p, self.n1, self.n2, self.k
         old = self._fibers
+        start = 0
         if f0 != self._f0:
             self._f0 = f0
             self._ind[0] = _fiber_cell(p, n1, n2, -1, f0)
             self._pi1[0] = 1 if f0 else 0
             self._pi2[0] = f0
             self._basis[0] = {} if p == 2 else ([], [])
-            start = 0
         else:
-            start = 0
             while start < k and old[start] == fibers[start]:
                 start += 1
         ind, pi1, pi2, basis = self._ind, self._pi1, self._pi2, self._basis
